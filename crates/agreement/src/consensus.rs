@@ -11,7 +11,7 @@
 //! spectrum.
 
 use sih_model::{ProcessId, ProcessSet, Value};
-use sih_runtime::{Automaton, Effects, StepInput};
+use sih_runtime::{Automaton, Corruptible, Effects, StepInput};
 
 /// Protocol messages of the Paxos baseline.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -48,6 +48,10 @@ pub enum PaxosMsg {
     /// Learned decision, flooded.
     Decided(Value),
 }
+
+/// The Paxos baseline defines no mutation algebra: only sender forgeries
+/// and replays apply to it.
+impl Corruptible for PaxosMsg {}
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum ProposerPhase {

@@ -5,32 +5,26 @@
 //! checker — otherwise the tier-1 replay test would fail late (or worse,
 //! silently skip the file). This check is the fast syntactic gate: it
 //! re-validates the schedule grammar line by line, dependency-free, and
-//! cross-checks the registry constant below against the harness source in
-//! `crates/lab/src/repro.rs` so the two cannot drift apart. Semantic
-//! fidelity (does the schedule still replay to its recorded verdict?) is
-//! the tier-1 `tests/corpus.rs` job, not this one.
+//! reads the registered names straight from the workload table in
+//! `crates/lab/src/repro.rs`, so there is no second list to drift.
+//! Semantic fidelity (does the schedule still replay to its recorded
+//! verdict?) is the tier-1 `tests/corpus.rs` job, not this one.
 
 use crate::report::Finding;
 use std::path::Path;
 
-/// The workload checkers a corpus schedule may name — mirrors the
-/// `WORKLOADS` registry in `crates/lab/src/repro.rs` (cross-checked by
-/// [`check_corpus`]).
-pub const REGISTERED_CHECKERS: [&str; 13] = [
-    "fig2-sigma",
-    "fig2-weak-sigma",
-    "fig4-sigma-k",
-    "fig4-weak-sigma-k",
-    "abd-sigma-s",
-    "abd-weak-quorum",
-    "fig6-without-change",
-    "fig2-byz-perturb",
-    "fig2-byz-equivocate",
-    "fig4-byz-perturb",
-    "abd-byz-perturb",
-    "abd-byz-forge-ack",
-    "abd-byz-split-ack",
-];
+/// The workload registry source the checker names are read from.
+pub const REGISTRY_SOURCE: &str = "crates/lab/src/repro.rs";
+
+/// The workload checkers a corpus schedule may name: the `name: "…"`
+/// field lines of the registry source.
+pub fn registered_checkers(registry_src: &str) -> Vec<&str> {
+    registry_src
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("name: \"")?.split_once('"'))
+        .map(|(name, _)| name)
+        .collect()
+}
 
 /// The newest schedule-format version this validator understands —
 /// mirrors `SCHEDULE_VERSION` in `crates/runtime/src/repro.rs`. Version
@@ -42,44 +36,15 @@ pub const SCHEDULE_VERSION: u32 = 2;
 pub fn check_corpus(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
 
-    // Registry drift: every checker named here must appear verbatim in
-    // the harness's workload table, and vice versa the harness table must
-    // not register workloads this validator does not know.
-    let repro_src = root.join("crates/lab/src/repro.rs");
-    match std::fs::read_to_string(&repro_src) {
-        Ok(src) => {
-            for checker in REGISTERED_CHECKERS {
-                if !src.contains(&format!("name: \"{checker}\"")) {
-                    findings.push(Finding {
-                        rule: "corpus-registry",
-                        file: "crates/analysis/src/corpus.rs".to_string(),
-                        line: 0,
-                        message: format!(
-                            "checker `{checker}` is not registered in crates/lab/src/repro.rs"
-                        ),
-                    });
-                }
-            }
-            let registered = src.matches("name: \"").count();
-            if registered != REGISTERED_CHECKERS.len() {
-                findings.push(Finding {
-                    rule: "corpus-registry",
-                    file: "crates/lab/src/repro.rs".to_string(),
-                    line: 0,
-                    message: format!(
-                        "workload registry has {registered} entries but the corpus validator \
-                         knows {}; update REGISTERED_CHECKERS in crates/analysis/src/corpus.rs",
-                        REGISTERED_CHECKERS.len()
-                    ),
-                });
-            }
-        }
-        Err(_) => findings.push(Finding {
+    let registry_src = std::fs::read_to_string(root.join(REGISTRY_SOURCE)).unwrap_or_default();
+    let registered = registered_checkers(&registry_src);
+    if registered.is_empty() {
+        findings.push(Finding {
             rule: "corpus-registry",
-            file: "crates/lab/src/repro.rs".to_string(),
+            file: REGISTRY_SOURCE.to_string(),
             line: 0,
-            message: "cannot read the workload registry source".to_string(),
-        }),
+            message: "cannot read any workload name from the registry source".to_string(),
+        });
     }
 
     let dir = root.join("tests/corpus");
@@ -114,7 +79,7 @@ pub fn check_corpus(root: &Path) -> Vec<Finding> {
             path.file_name().map(|f| f.to_string_lossy().into_owned()).unwrap_or_default()
         );
         match std::fs::read_to_string(&path) {
-            Ok(text) => findings.extend(validate_schedule_text(&rel, &text)),
+            Ok(text) => findings.extend(validate_schedule_text(&rel, &text, &registered)),
             Err(_) => findings.push(Finding {
                 rule: "corpus-schedule",
                 file: rel,
@@ -126,10 +91,10 @@ pub fn check_corpus(root: &Path) -> Vec<Finding> {
     findings
 }
 
-/// Validates one schedule file's text against the versioned grammar.
-/// Returns one finding per offending line (plus file-level findings for
-/// missing required fields).
-pub fn validate_schedule_text(file: &str, text: &str) -> Vec<Finding> {
+/// Validates one schedule file's text against the versioned grammar and
+/// the `registered` checker names. Returns one finding per offending line
+/// (plus file-level findings for missing required fields).
+pub fn validate_schedule_text(file: &str, text: &str, registered: &[&str]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut bad = |line: u32, message: String| {
         findings.push(Finding { rule: "corpus-schedule", file: file.to_string(), line, message });
@@ -179,7 +144,7 @@ pub fn validate_schedule_text(file: &str, text: &str) -> Vec<Finding> {
         match key {
             "checker" => {
                 checker_seen = true;
-                if !REGISTERED_CHECKERS.contains(&value) {
+                if !registered.contains(&value) {
                     bad(lineno, format!("`{value}` is not a registered checker"));
                 }
             }
@@ -367,6 +332,16 @@ fn window_tail_ok<'a>(mut parts: impl Iterator<Item = &'a str>, n: Option<u64>) 
 mod tests {
     use super::*;
 
+    fn root() -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    /// Validates against the real workload registry.
+    fn validate_schedule(file: &str, text: &str) -> Vec<Finding> {
+        let src = std::fs::read_to_string(root().join(REGISTRY_SOURCE)).expect("registry source");
+        validate_schedule_text(file, text, &registered_checkers(&src))
+    }
+
     const GOOD: &str = "\
 # a comment
 sih-schedule v1
@@ -402,18 +377,18 @@ choice: p1 0
 
     #[test]
     fn a_well_formed_schedule_passes() {
-        assert_eq!(validate_schedule_text("x.schedule", GOOD), vec![]);
+        assert_eq!(validate_schedule("x.schedule", GOOD), vec![]);
     }
 
     #[test]
     fn a_well_formed_v2_schedule_passes() {
-        assert_eq!(validate_schedule_text("x.schedule", GOOD_V2), vec![]);
+        assert_eq!(validate_schedule("x.schedule", GOOD_V2), vec![]);
     }
 
     #[test]
     fn adversary_lines_under_a_v1_header_are_flagged() {
         let text = GOOD_V2.replace("sih-schedule v2", "sih-schedule v1");
-        let findings = validate_schedule_text("x.schedule", &text);
+        let findings = validate_schedule("x.schedule", &text);
         assert!(findings.iter().any(|f| f.message.contains("need a `sih-schedule v2` header")));
     }
 
@@ -427,15 +402,14 @@ choice: p1 0
             ("adversary: perturb p0->p2", "adversary: perturb p9->p2"),
         ] {
             let text = GOOD_V2.replace(needle, replacement);
-            let findings = validate_schedule_text("x.schedule", &text);
+            let findings = validate_schedule("x.schedule", &text);
             assert!(!findings.is_empty(), "`{replacement}` was accepted");
         }
     }
 
     #[test]
     fn the_real_corpus_passes() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let findings = check_corpus(&root);
+        let findings = check_corpus(&root());
         assert!(
             findings.is_empty(),
             "corpus findings:\n{}",
@@ -449,7 +423,7 @@ choice: p1 0
 
     #[test]
     fn a_missing_header_is_fatal() {
-        let findings = validate_schedule_text("x.schedule", "checker: fig2-sigma\n");
+        let findings = validate_schedule("x.schedule", "checker: fig2-sigma\n");
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("header"));
     }
@@ -457,21 +431,39 @@ choice: p1 0
     #[test]
     fn an_unregistered_checker_is_flagged() {
         let text = GOOD.replace("fig4-weak-sigma-k", "made-up-checker");
-        let findings = validate_schedule_text("x.schedule", &text);
+        let findings = validate_schedule("x.schedule", &text);
         assert!(findings.iter().any(|f| f.message.contains("not a registered checker")));
+    }
+
+    #[test]
+    fn registered_names_come_from_the_table_rows_only() {
+        let src =
+            "/// docs mention name: \"not-a-row\"\n    Workload {\n        name: \"a\",\n        \
+                   summary: \"x\",\n    },\n    Workload { name: \"b\" },\n";
+        assert_eq!(registered_checkers(src), vec!["a"]);
+        assert!(!registered_checkers(
+            &std::fs::read_to_string(root().join(REGISTRY_SOURCE)).unwrap()
+        )
+        .is_empty());
+    }
+
+    #[test]
+    fn an_unreadable_registry_is_flagged() {
+        let findings = check_corpus(Path::new("/nonexistent-sih-root"));
+        assert!(findings.iter().any(|f| f.rule == "corpus-registry"));
     }
 
     #[test]
     fn an_ok_verdict_is_not_a_counterexample() {
         let text = GOOD.replace("verdict: violation:agreement", "verdict: ok");
-        let findings = validate_schedule_text("x.schedule", &text);
+        let findings = validate_schedule("x.schedule", &text);
         assert!(findings.iter().any(|f| f.message.contains("witness a failure")));
     }
 
     #[test]
     fn out_of_range_processes_are_flagged() {
         let text = GOOD.replace("choice: p1 0", "choice: p9 0");
-        let findings = validate_schedule_text("x.schedule", &text);
+        let findings = validate_schedule("x.schedule", &text);
         assert!(findings.iter().any(|f| f.message.contains("choice")));
     }
 
@@ -483,7 +475,7 @@ choice: p1 0
             ("crash: p2 @ 40", "crash: p2 at 40"),
         ] {
             let text = GOOD.replace(needle, replacement);
-            let findings = validate_schedule_text("x.schedule", &text);
+            let findings = validate_schedule("x.schedule", &text);
             assert!(!findings.is_empty(), "`{replacement}` was accepted");
         }
     }
@@ -491,7 +483,7 @@ choice: p1 0
     #[test]
     fn missing_fields_and_empty_scripts_are_flagged() {
         let text = "sih-schedule v1\nchecker: fig2-sigma\nverdict: panic\n";
-        let findings = validate_schedule_text("x.schedule", text);
+        let findings = validate_schedule("x.schedule", text);
         let all: String = findings.iter().map(|f| f.message.clone()).collect::<Vec<_>>().join("\n");
         for needle in ["missing `n:`", "missing `k:`", "missing `seed:`", "no `choice:`"] {
             assert!(all.contains(needle), "missing finding `{needle}` in:\n{all}");

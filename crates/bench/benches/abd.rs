@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sih::model::{FailurePattern, ProcessId, ProcessSet};
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
 use sih::registers::WorkloadSpec;
 use std::hint::black_box;
 
@@ -24,14 +24,11 @@ fn bench_abd(c: &mut Criterion) {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed += 1;
-                    let spec = WorkloadSpec { ops_per_process: 4, read_ratio: 0.5, seed };
-                    black_box(pipeline::run_register_workload(
-                        &f,
-                        s,
-                        spec.scripts(s),
-                        seed,
-                        600_000,
-                    ))
+                    let scripts =
+                        WorkloadSpec { ops_per_process: 4, read_ratio: 0.5, seed }.scripts(s);
+                    let spec =
+                        RunSpec::new(Algorithm::Abd { s, scripts }, f.clone(), seed, 600_000);
+                    black_box(RunPool::new().run(&spec).1)
                 });
             });
         }

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sih::model::{FailurePattern, ProcessId, ProcessSet};
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
 use std::hint::black_box;
 
 fn bench_fig2(c: &mut Criterion) {
@@ -17,7 +17,16 @@ fn bench_fig2(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                black_box(pipeline::run_fig2(&f, ProcessId(0), ProcessId(1), seed, 400_000))
+                black_box(
+                    RunPool::new()
+                        .run(&RunSpec::new(
+                            Algorithm::Fig2 { a0: ProcessId(0), a1: ProcessId(1) },
+                            f.clone(),
+                            seed,
+                            400_000,
+                        ))
+                        .1,
+                )
             });
         });
         group.bench_with_input(BenchmarkId::new("only_actives_correct", n), &n, |b, &n| {
@@ -26,7 +35,16 @@ fn bench_fig2(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                black_box(pipeline::run_fig2(&f, ProcessId(0), ProcessId(1), seed, 400_000))
+                black_box(
+                    RunPool::new()
+                        .run(&RunSpec::new(
+                            Algorithm::Fig2 { a0: ProcessId(0), a1: ProcessId(1) },
+                            f.clone(),
+                            seed,
+                            400_000,
+                        ))
+                        .1,
+                )
             });
         });
     }

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sih::model::{FailurePattern, ProcessId, ProcessSet};
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
 use std::hint::black_box;
 
 fn bench_fig4(c: &mut Criterion) {
@@ -19,7 +19,11 @@ fn bench_fig4(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                black_box(pipeline::run_fig4(&f, active, seed, 400_000))
+                black_box(
+                    RunPool::new()
+                        .run(&RunSpec::new(Algorithm::Fig4 { active }, f.clone(), seed, 400_000))
+                        .1,
+                )
             });
         });
     }

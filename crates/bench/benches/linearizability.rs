@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sih::model::{FailurePattern, ProcessId, ProcessSet};
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
 use sih::registers::{check_linearizable, WorkloadSpec};
 use std::hint::black_box;
 
@@ -14,8 +14,10 @@ fn bench_checker(c: &mut Criterion) {
         // Pre-generate one history per size, then bench only the checker.
         let s: ProcessSet = (0..3u32).map(ProcessId).collect();
         let f = FailurePattern::all_correct(4);
-        let spec = WorkloadSpec { ops_per_process: ops_per, read_ratio: 0.5, seed: 5 };
-        let (_, ops) = pipeline::run_register_workload(&f, s, spec.scripts(s), 5, 800_000);
+        let scripts =
+            WorkloadSpec { ops_per_process: ops_per, read_ratio: 0.5, seed: 5 }.scripts(s);
+        let spec = RunSpec::new(Algorithm::Abd { s, scripts }, f, 5, 800_000);
+        let ops = RunPool::new().run(&spec).0.op_records();
         let total = ops.len();
         group.bench_with_input(BenchmarkId::new("check", total), &ops, |b, ops| {
             b.iter(|| black_box(check_linearizable(ops, None)).unwrap());

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sih::model::{FailurePattern, ProcessId, ProcessSet, Value};
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
 use sih::reductions::{
     lemma15_defeat, lemma7_defeat, theorem13_demo, AntiOmegaAgreementCandidate, GossipPairCandidate,
 };
@@ -23,7 +23,16 @@ fn bench_emulations(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                black_box(pipeline::run_fig3(&f, ProcessId(0), ProcessId(1), seed, 3_000))
+                black_box(
+                    RunPool::new()
+                        .run(&RunSpec::new(
+                            Algorithm::Fig3 { p: ProcessId(0), q: ProcessId(1) },
+                            f.clone(),
+                            seed,
+                            3_000,
+                        ))
+                        .1,
+                )
             });
         });
         group.bench_with_input(BenchmarkId::new("fig5_sigma_k", n), &n, |b, &n| {
@@ -32,7 +41,11 @@ fn bench_emulations(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                black_box(pipeline::run_fig5(&f, x, seed, 3_000))
+                black_box(
+                    RunPool::new()
+                        .run(&RunSpec::new(Algorithm::Fig5 { x }, f.clone(), seed, 3_000))
+                        .1,
+                )
             });
         });
         group.bench_with_input(BenchmarkId::new("fig6_anti_omega", n), &n, |b, &n| {
@@ -40,7 +53,16 @@ fn bench_emulations(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                black_box(pipeline::run_fig6(&f, ProcessId(0), ProcessId(1), seed, 12_000))
+                black_box(
+                    RunPool::new()
+                        .run(&RunSpec::new(
+                            Algorithm::Fig6 { a0: ProcessId(0), a1: ProcessId(1) },
+                            f.clone(),
+                            seed,
+                            12_000,
+                        ))
+                        .1,
+                )
             });
         });
     }

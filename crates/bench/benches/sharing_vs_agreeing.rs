@@ -16,7 +16,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sih::model::{FailurePattern, OpKind, ProcessId, ProcessSet, Value};
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
 use std::hint::black_box;
 
 fn bench_sharing_vs_agreeing(c: &mut Criterion) {
@@ -28,7 +28,16 @@ fn bench_sharing_vs_agreeing(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                black_box(pipeline::run_fig2(&f, ProcessId(0), ProcessId(1), seed, 400_000))
+                black_box(
+                    RunPool::new()
+                        .run(&RunSpec::new(
+                            Algorithm::Fig2 { a0: ProcessId(0), a1: ProcessId(1) },
+                            f.clone(),
+                            seed,
+                            400_000,
+                        ))
+                        .1,
+                )
             });
         });
         group.bench_with_input(BenchmarkId::new("agree_strong_paxos", n), &n, |b, &n| {
@@ -36,7 +45,9 @@ fn bench_sharing_vs_agreeing(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                black_box(pipeline::run_paxos(&f, seed, 600_000))
+                black_box(
+                    RunPool::new().run(&RunSpec::new(Algorithm::Paxos, f.clone(), seed, 600_000)).1,
+                )
             });
         });
         group.bench_with_input(BenchmarkId::new("share_register_wr", n), &n, |b, &n| {
@@ -46,7 +57,8 @@ fn bench_sharing_vs_agreeing(c: &mut Criterion) {
             b.iter(|| {
                 seed += 1;
                 let scripts = vec![vec![OpKind::Write(Value(1))], vec![OpKind::Read]];
-                black_box(pipeline::run_register_workload(&f, s, scripts, seed, 600_000))
+                let spec = RunSpec::new(Algorithm::Abd { s, scripts }, f.clone(), seed, 600_000);
+                black_box(RunPool::new().run(&spec).1)
             });
         });
     }

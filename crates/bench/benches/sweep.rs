@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sih::model::{FailurePattern, ProcessId, ProcessSet, Time};
 use sih::patterns::pattern_suite;
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
 use sih::runtime::sweep::{with_seeds, Sweep};
 use sih::runtime::TraceLevel;
 use std::hint::black_box;
@@ -21,10 +21,10 @@ fn run_e1_sweep(grid: Vec<(FailurePattern, u64)>, threads: usize) -> u64 {
     let (p, q) = (ProcessId(0), ProcessId(1));
     Sweep::new(threads)
         .run(grid, || {
-            let mut pool = pipeline::Fig2Pool::with_trace_level(TraceLevel::Light);
+            let mut pool = RunPool::with_trace_level(TraceLevel::Light);
             move |_idx, (pattern, seed): (FailurePattern, u64)| {
-                let tr = pipeline::run_fig2_pooled(&mut pool, &pattern, p, q, seed, 60_000);
-                tr.total_steps()
+                let spec = RunSpec::new(Algorithm::Fig2 { a0: p, a1: q }, pattern, seed, 60_000);
+                pool.run(&spec).0.total_steps()
             }
         })
         .into_iter()

@@ -16,28 +16,30 @@
 #![warn(missing_docs)]
 
 use sih::model::{FailurePattern, ProcessId, ProcessSet};
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
+
+/// Steps and messages of one failure-free, seeded run of `algorithm`.
+fn cost(algorithm: Algorithm, n: usize, seed: u64, max_steps: u64) -> (u64, u64) {
+    let spec = RunSpec::new(algorithm, FailurePattern::all_correct(n), seed, max_steps);
+    let mut pool = RunPool::new();
+    let (tr, _) = pool.run(&spec);
+    (tr.total_steps(), tr.messages_sent())
+}
 
 /// Steps and messages of one Figure 2 run (failure-free, seeded).
 pub fn fig2_cost(n: usize, seed: u64) -> (u64, u64) {
-    let f = FailurePattern::all_correct(n);
-    let tr = pipeline::run_fig2(&f, ProcessId(0), ProcessId(1), seed, 400_000);
-    (tr.total_steps(), tr.messages_sent())
+    cost(Algorithm::Fig2 { a0: ProcessId(0), a1: ProcessId(1) }, n, seed, 400_000)
 }
 
 /// Steps and messages of one Figure 4 run.
 pub fn fig4_cost(n: usize, k: usize, seed: u64) -> (u64, u64) {
-    let f = FailurePattern::all_correct(n);
     let active: ProcessSet = (0..2 * k as u32).map(ProcessId).collect();
-    let tr = pipeline::run_fig4(&f, active, seed, 400_000);
-    (tr.total_steps(), tr.messages_sent())
+    cost(Algorithm::Fig4 { active }, n, seed, 400_000)
 }
 
 /// Steps and messages of one Paxos consensus run.
 pub fn paxos_cost(n: usize, seed: u64) -> (u64, u64) {
-    let f = FailurePattern::all_correct(n);
-    let tr = pipeline::run_paxos(&f, seed, 600_000);
-    (tr.total_steps(), tr.messages_sent())
+    cost(Algorithm::Paxos, n, seed, 600_000)
 }
 
 #[cfg(test)]

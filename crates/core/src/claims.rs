@@ -11,7 +11,7 @@
 //!   exhibited violations.
 
 use crate::patterns::pattern_suite;
-use crate::pipeline;
+use crate::pipeline::{Algorithm, RunPool, RunSpec};
 use sih_agreement::{check_k_set_agreement, distinct_proposals};
 use sih_detectors::{check_anti_omega, check_sigma, check_sigma_k};
 use sih_model::{FailurePattern, ProcessId, ProcessSet};
@@ -242,9 +242,11 @@ fn check_r1(cfg: &ClaimConfig) -> ClaimOutcome {
     let focus = ProcessSet::from_iter([p, q]);
     let (n, max_steps) = (cfg.n, cfg.max_steps);
     let swept = positive_sweep(cfg, pattern_suite(n, focus, 4, 11), || {
-        let mut pool = pipeline::Fig2Pool::with_trace_level(TraceLevel::Light);
+        let mut pool = RunPool::with_trace_level(TraceLevel::Light);
         move |pattern: &FailurePattern, seed| {
-            let tr = pipeline::run_fig2_pooled(&mut pool, pattern, p, q, seed, max_steps);
+            let spec =
+                RunSpec::new(Algorithm::Fig2 { a0: p, a1: q }, pattern.clone(), seed, max_steps);
+            let (tr, _) = pool.run(&spec);
             check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - 1)
                 .map_err(|e| e.to_string())?;
             Ok(1)
@@ -265,16 +267,16 @@ fn check_r2(cfg: &ClaimConfig) -> ClaimOutcome {
     let focus = ProcessSet::from_iter([p, q]);
     let (n, max_steps) = (cfg.n, cfg.max_steps);
     let swept = positive_sweep(cfg, pattern_suite(n, focus, 3, 13), || {
-        let mut fig3 = pipeline::Fig3Pool::with_trace_level(TraceLevel::Light);
-        let mut stack = pipeline::StackFig3Fig2Pool::with_trace_level(TraceLevel::Light);
+        let mut pool = RunPool::with_trace_level(TraceLevel::Light);
         move |pattern: &FailurePattern, seed| {
             // Lemma 6: the Figure 3 emulation yields a legal σ history.
-            let tr = pipeline::run_fig3_pooled(&mut fig3, pattern, p, q, seed, 6_000);
+            let (tr, _) =
+                pool.run(&RunSpec::new(Algorithm::Fig3 { p, q }, pattern.clone(), seed, 6_000));
             check_sigma(tr.emulated_history(), pattern, focus).map_err(|e| e.to_string())?;
             // End to end (Theorem 2 direction 1): Figure 2 stacked on
             // Figure 3 solves set agreement from Σ_{p,q}.
-            let tr =
-                pipeline::run_stack_fig3_fig2_pooled(&mut stack, pattern, p, q, seed, max_steps);
+            let stack = Algorithm::StackFig3Fig2 { p, q };
+            let (tr, _) = pool.run(&RunSpec::new(stack, pattern.clone(), seed, max_steps));
             check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - 1)
                 .map_err(|e| e.to_string())?;
             Ok(2)
@@ -329,9 +331,10 @@ fn check_r4(cfg: &ClaimConfig) -> ClaimOutcome {
     let active = active_2k(cfg.k);
     let (n, k, max_steps) = (cfg.n, cfg.k, cfg.max_steps);
     let swept = positive_sweep(cfg, pattern_suite(n, active, 4, 23), || {
-        let mut pool = pipeline::Fig4Pool::with_trace_level(TraceLevel::Light);
+        let mut pool = RunPool::with_trace_level(TraceLevel::Light);
         move |pattern: &FailurePattern, seed| {
-            let tr = pipeline::run_fig4_pooled(&mut pool, pattern, active, seed, max_steps);
+            let spec = RunSpec::new(Algorithm::Fig4 { active }, pattern.clone(), seed, max_steps);
+            let (tr, _) = pool.run(&spec);
             check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - k)
                 .map_err(|e| e.to_string())?;
             Ok(1)
@@ -351,13 +354,13 @@ fn check_r5(cfg: &ClaimConfig) -> ClaimOutcome {
     let x = active_2k(cfg.k);
     let (n, k, max_steps) = (cfg.n, cfg.k, cfg.max_steps);
     let swept = positive_sweep(cfg, pattern_suite(n, x, 3, 29), || {
-        let mut fig5 = pipeline::Fig5Pool::with_trace_level(TraceLevel::Light);
-        let mut stack = pipeline::StackFig5Fig4Pool::with_trace_level(TraceLevel::Light);
+        let mut pool = RunPool::with_trace_level(TraceLevel::Light);
         move |pattern: &FailurePattern, seed| {
-            let tr = pipeline::run_fig5_pooled(&mut fig5, pattern, x, seed, 6_000);
+            let (tr, _) =
+                pool.run(&RunSpec::new(Algorithm::Fig5 { x }, pattern.clone(), seed, 6_000));
             check_sigma_k(tr.emulated_history(), pattern, x).map_err(|e| e.to_string())?;
-            let tr =
-                pipeline::run_stack_fig5_fig4_pooled(&mut stack, pattern, x, seed, max_steps * 2);
+            let stack = Algorithm::StackFig5Fig4 { x };
+            let (tr, _) = pool.run(&RunSpec::new(stack, pattern.clone(), seed, max_steps * 2));
             check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - k)
                 .map_err(|e| e.to_string())?;
             Ok(2)
@@ -479,9 +482,11 @@ fn check_r10(cfg: &ClaimConfig) -> ClaimOutcome {
     let (p, q) = pair();
     let focus = ProcessSet::from_iter([p, q]);
     let swept = positive_sweep(cfg, pattern_suite(cfg.n, focus, 4, 53), || {
-        let mut pool = pipeline::Fig6Pool::with_trace_level(TraceLevel::Light);
+        let mut pool = RunPool::with_trace_level(TraceLevel::Light);
         move |pattern: &FailurePattern, seed| {
-            let tr = pipeline::run_fig6_pooled(&mut pool, pattern, p, q, seed, 20_000);
+            let spec =
+                RunSpec::new(Algorithm::Fig6 { a0: p, a1: q }, pattern.clone(), seed, 20_000);
+            let (tr, _) = pool.run(&spec);
             check_anti_omega(tr.emulated_history(), pattern).map_err(|e| e.to_string())?;
             Ok(1)
         }

@@ -6,7 +6,7 @@
 //! that a same-process repeat cannot expose.
 
 use sih::patterns::pattern_suite;
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
 use sih_model::{FailurePattern, ProcessId, ProcessSet};
 use sih_runtime::sweep::{with_seeds, Sweep};
 use std::process::Command;
@@ -24,9 +24,11 @@ fn digest() -> u64 {
     let focus = ProcessSet::from_iter([p, q]);
     let grid = with_seeds(&pattern_suite(4, focus, 2, 101), 2);
     let runs = Sweep::new(2).run(grid, || {
-        let mut pool = pipeline::Fig2Pool::new();
+        let mut pool = RunPool::new();
         move |_idx, (pattern, seed): (FailurePattern, u64)| {
-            let tr = pipeline::run_fig2_pooled(&mut pool, &pattern, p, q, seed, 60_000);
+            let spec =
+                RunSpec::new(Algorithm::Fig2 { a0: p, a1: q }, pattern.clone(), seed, 60_000);
+            let (tr, _) = pool.run(&spec);
             format!(
                 "steps={} msgs={} decisions={:?} events={:?}",
                 tr.total_steps(),

@@ -4,7 +4,7 @@
 
 use sih::claims::{check_claim, Claim, ClaimConfig};
 use sih::patterns::pattern_suite;
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
 use sih_model::{FailurePattern, ProcessId, ProcessSet};
 use sih_runtime::sweep::{with_seeds, Sweep};
 use sih_runtime::{Event, TraceLevel};
@@ -24,9 +24,11 @@ fn e1_shaped_sweep(threads: usize) -> Vec<RunRecord> {
     let focus = ProcessSet::from_iter([p, q]);
     let grid = with_seeds(&pattern_suite(4, focus, 3, 101), 3);
     Sweep::new(threads).run(grid, || {
-        let mut pool = pipeline::Fig2Pool::new();
+        let mut pool = RunPool::new();
         move |_idx, (pattern, seed): (FailurePattern, u64)| {
-            let tr = pipeline::run_fig2_pooled(&mut pool, &pattern, p, q, seed, 60_000);
+            let spec =
+                RunSpec::new(Algorithm::Fig2 { a0: p, a1: q }, pattern.clone(), seed, 60_000);
+            let (tr, _) = pool.run(&spec);
             RunRecord {
                 events: tr.events().to_vec(),
                 steps: tr.total_steps(),
@@ -57,9 +59,11 @@ fn light_level_aggregates_identical_across_thread_counts() {
     let sweep_at = |threads: usize| -> Vec<(u64, u64, usize)> {
         let grid = with_seeds(&pattern_suite(4, focus, 2, 113), 2);
         Sweep::new(threads).run(grid, || {
-            let mut pool = pipeline::Fig2Pool::with_trace_level(TraceLevel::Light);
+            let mut pool = RunPool::with_trace_level(TraceLevel::Light);
             move |_idx, (pattern, seed): (FailurePattern, u64)| {
-                let tr = pipeline::run_fig2_pooled(&mut pool, &pattern, p, q, seed, 60_000);
+                let spec =
+                    RunSpec::new(Algorithm::Fig2 { a0: p, a1: q }, pattern.clone(), seed, 60_000);
+                let (tr, _) = pool.run(&spec);
                 (tr.total_steps(), tr.messages_sent(), tr.distinct_decisions().len())
             }
         })

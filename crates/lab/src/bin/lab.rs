@@ -1,9 +1,14 @@
 //! `lab` — the experiment CLI.
 //!
 //! ```text
-//! lab <e1..e15 | figure1 | explore | faults | byzantine | fuzz | repro | all> [--n N] [--k K]
-//!     [--seeds S] [--steps M] [--depth D] [--threads T] [--json PATH]
+//! lab <e1..e15 | figure1 | explore | faults | byzantine | scale | fuzz | repro | all> [FLAGS]
+//! lab --help
 //! ```
+//!
+//! Every flag lives in one table ([`FLAGS`]), which also renders the
+//! usage text. A malformed flag value, a missing argument or a failed
+//! file write is a typed error: it is printed and the process exits
+//! with status 2.
 //!
 //! `--threads 0` (the default) uses one worker per available core; every
 //! thread count produces identical results, so `--threads` only changes
@@ -44,448 +49,403 @@
 //! `corpus DIR` strict-replays every committed `*.schedule` (add
 //! `--fresh DIR` to also re-record each planted violation from scratch).
 
+use sih_lab::json::Value;
 use sih_lab::{
     load_seed_schedules, render_figure1, repro, run_byzantine_bench, run_experiment,
     run_explore_bench, run_faults_bench, run_fuzz_bench, run_scale_bench, ByzantineLabConfig,
     ExperimentReport, ExploreLabConfig, FaultsLabConfig, FuzzLabConfig, LabConfig, ScaleLabConfig,
     EXPERIMENT_IDS,
 };
-use sih_runtime::Schedule;
+use sih_runtime::{Schedule, ShrinkReport};
+use std::fmt;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
+
+/// A command-line failure; `main` prints it and exits with status 2.
+#[derive(Debug)]
+enum CliError {
+    /// Unknown command or flag, or a missing argument.
+    Usage(String),
+    /// A flag value that does not parse.
+    BadValue { flag: &'static str, value: String, reason: String },
+    /// A file that could not be read or written.
+    Io { path: String, reason: String },
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::Usage(msg) => write!(f, "{msg} (see `lab --help`)"),
+            CliError::BadValue { flag, value, reason } => {
+                write!(f, "{flag}: invalid value `{value}`: {reason}")
+            }
+            CliError::Io { path, reason } => write!(f, "{path}: {reason}"),
+        }
+    }
+}
+
+/// Everything the flags can set, across all commands. Flags shared by
+/// several configurations are kept as given and fanned out by [`parse`].
+#[derive(Default)]
+struct Opts {
+    lab: LabConfig,
+    explore: ExploreLabConfig,
+    faults: FaultsLabConfig,
+    byz: ByzantineLabConfig,
+    scale: ScaleLabConfig,
+    fuzz: FuzzLabConfig,
+    n: Option<usize>,
+    k: Option<usize>,
+    seeds: Option<u64>,
+    steps: Option<u64>,
+    threads: Option<usize>,
+    scan: Option<u64>,
+    corpus: Option<String>,
+    witness_dir: Option<String>,
+    json: Option<String>,
+    workload: Option<String>,
+    out: Option<String>,
+    fresh: Option<String>,
+    lenient: bool,
+    shrink: bool,
+}
+
+/// Parses `v` into `slot` (a switch's `v` is `"true"`).
+fn set<T: FromStr>(slot: &mut T, v: &str) -> Result<(), String>
+where
+    T::Err: fmt::Display,
+{
+    *slot = v.parse().map_err(|e: T::Err| e.to_string())?;
+    Ok(())
+}
+
+/// Parses `v` into an optional `slot`.
+fn set_some<T: FromStr>(slot: &mut Option<T>, v: &str) -> Result<(), String>
+where
+    T::Err: fmt::Display,
+{
+    *slot = Some(v.parse().map_err(|e: T::Err| e.to_string())?);
+    Ok(())
+}
+
+/// Applies one flag's value.
+type Setter = fn(&mut Opts, &str) -> Result<(), String>;
+
+/// Every flag: name, value placeholder (`""` for a switch), setter.
+const FLAGS: &[(&str, &str, Setter)] = &[
+    ("--n", "N", |o, v| set_some(&mut o.n, v)),
+    ("--k", "K", |o, v| set_some(&mut o.k, v)),
+    ("--seeds", "S", |o, v| set_some(&mut o.seeds, v)),
+    ("--steps", "M", |o, v| set_some(&mut o.steps, v)),
+    ("--depth", "D", |o, v| set(&mut o.explore.depth, v)),
+    ("--frontier-depth", "K", |o, v| set(&mut o.explore.frontier_depth, v)),
+    ("--threads", "T", |o, v| set_some(&mut o.threads, v)),
+    ("--max-n", "N", |o, v| set(&mut o.scale.max_n, v)),
+    ("--sample", "D", |o, v| set(&mut o.scale.sample, v)),
+    ("--huge", "", |o, v| set(&mut o.scale.huge, v)),
+    ("--seed", "S", |o, v| set(&mut o.fuzz.seed, v)),
+    ("--budget-schedules", "N", |o, v| set(&mut o.fuzz.budget_schedules, v)),
+    ("--budget-ms", "MS", |o, v| set(&mut o.fuzz.budget_ms, v)),
+    ("--batch", "B", |o, v| set(&mut o.fuzz.batch, v)),
+    ("--corpus", "DIR", |o, v| set_some(&mut o.corpus, v)),
+    ("--witness-dir", "DIR", |o, v| set_some(&mut o.witness_dir, v)),
+    ("--workload", "W", |o, v| set_some(&mut o.workload, v)),
+    ("--scan", "T", |o, v| set_some(&mut o.scan, v)),
+    ("--shrink", "", |o, v| set(&mut o.shrink, v)),
+    ("--lenient", "", |o, v| set(&mut o.lenient, v)),
+    ("--fresh", "DIR", |o, v| set_some(&mut o.fresh, v)),
+    ("--out", "FILE", |o, v| set_some(&mut o.out, v)),
+    ("--json", "PATH", |o, v| set_some(&mut o.json, v)),
+];
+
+/// Parses `args` against [`FLAGS`]; returns the options and the
+/// positional arguments.
+fn parse(args: &[String]) -> Result<(Opts, Vec<String>), CliError> {
+    let mut opts = Opts::default();
+    let mut positional = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            positional.push(arg.clone());
+            continue;
+        }
+        let &(flag, placeholder, setter) = FLAGS
+            .iter()
+            .find(|f| f.0 == arg)
+            .ok_or_else(|| CliError::Usage(format!("unknown flag {arg}")))?;
+        let value = match placeholder {
+            "" => "true",
+            _ => it.next().ok_or_else(|| CliError::Usage(format!("missing value for {flag}")))?,
+        };
+        setter(&mut opts, value).map_err(|reason| CliError::BadValue {
+            flag,
+            value: value.to_string(),
+            reason,
+        })?;
+    }
+    let o = &mut opts;
+    if let Some(n) = o.n {
+        (o.lab.n, o.explore.n, o.faults.n, o.byz.n) = (n, n, n, n);
+    }
+    o.lab.k = o.k.unwrap_or(o.lab.k);
+    if let Some(s) = o.seeds {
+        (o.lab.seeds, o.faults.seeds, o.byz.seeds) = (s, s, s);
+    }
+    if let Some(m) = o.steps {
+        (o.lab.max_steps, o.faults.max_steps, o.byz.max_steps) = (m, m, m);
+    }
+    if let Some(t) = o.threads {
+        (o.lab.threads, o.explore.threads, o.faults.threads, o.byz.threads) = (t, t, t, t);
+        (o.scale.threads, o.fuzz.threads) = (t, t);
+    }
+    Ok((opts, positional))
+}
+
+fn usage() -> String {
+    let flags: Vec<String> = FLAGS
+        .iter()
+        .map(
+            |(flag, v, _)| if v.is_empty() { format!("[{flag}]") } else { format!("[{flag} {v}]") },
+        )
+        .collect();
+    format!(
+        "usage: lab <e1..e15 | figure1 | explore | faults | byzantine | scale | fuzz | repro | all> \
+         {}\n\
+         experiments: {}\n\
+         repro: lab repro record --workload W [--n N] [--k K] [--seed S] [--scan T] [--steps M] \
+         [--shrink] [--out FILE]\n       \
+         lab repro shrink FILE [--out FILE]\n       \
+         lab repro replay FILE [--lenient]\n       \
+         lab repro corpus DIR [--threads T] [--fresh DIR]\n\
+         workloads: {}\n",
+        flags.join(" "),
+        EXPERIMENT_IDS.join(", "),
+        repro::WORKLOADS.iter().map(|w| w.name).collect::<Vec<_>>().join(", ")
+    )
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!(
-            "usage: lab <e1..e15 | figure1 | explore | faults | byzantine | scale | fuzz | repro | all> [--n N] [--k K] [--seeds S] [--steps M] [--depth D] [--threads T] [--frontier-depth K] [--max-n N] [--sample D] [--huge] [--seed S] [--budget-schedules N] [--budget-ms MS] [--batch B] [--corpus DIR] [--witness-dir DIR] [--json PATH]"
-        );
-        eprintln!("experiments: {}", EXPERIMENT_IDS.join(", "));
-        eprintln!(
-            "repro: lab repro <record --workload W | shrink FILE | replay FILE | corpus DIR> …"
-        );
-        return ExitCode::FAILURE;
-    }
-    if args[0] == "repro" {
-        return repro_cli(&args[1..]);
-    }
-    let command = args[0].clone();
-    let mut cfg = LabConfig::default();
-    let mut explore_cfg = ExploreLabConfig::default();
-    let mut faults_cfg = FaultsLabConfig::default();
-    let mut byz_cfg = ByzantineLabConfig::default();
-    let mut scale_cfg = ScaleLabConfig::default();
-    let mut fuzz_cfg = FuzzLabConfig::default();
-    let mut fuzz_corpus_dir: Option<String> = None;
-    let mut witness_dir: Option<String> = None;
-    let mut json_path: Option<String> = None;
-
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<String>| -> String {
-            it.next().unwrap_or_else(|| panic!("missing value for {flag}")).clone()
-        };
-        match flag.as_str() {
-            "--n" => {
-                cfg.n = value(&mut it).parse().expect("--n takes an integer");
-                explore_cfg.n = cfg.n;
-                faults_cfg.n = cfg.n;
-                byz_cfg.n = cfg.n;
-            }
-            "--k" => cfg.k = value(&mut it).parse().expect("--k takes an integer"),
-            "--seeds" => {
-                cfg.seeds = value(&mut it).parse().expect("--seeds takes an integer");
-                faults_cfg.seeds = cfg.seeds;
-                byz_cfg.seeds = cfg.seeds;
-            }
-            "--steps" => {
-                cfg.max_steps = value(&mut it).parse().expect("--steps takes an integer");
-                faults_cfg.max_steps = cfg.max_steps;
-                byz_cfg.max_steps = cfg.max_steps;
-            }
-            "--depth" => {
-                explore_cfg.depth = value(&mut it).parse().expect("--depth takes an integer")
-            }
-            "--frontier-depth" => {
-                explore_cfg.frontier_depth =
-                    value(&mut it).parse().expect("--frontier-depth takes an integer (0 = auto)")
-            }
-            "--threads" => {
-                cfg.threads = value(&mut it).parse().expect("--threads takes an integer");
-                explore_cfg.threads = cfg.threads;
-                faults_cfg.threads = cfg.threads;
-                byz_cfg.threads = cfg.threads;
-                scale_cfg.threads = cfg.threads;
-                fuzz_cfg.threads = cfg.threads;
-            }
-            "--seed" => fuzz_cfg.seed = value(&mut it).parse().expect("--seed takes an integer"),
-            "--budget-schedules" => {
-                fuzz_cfg.budget_schedules =
-                    value(&mut it).parse().expect("--budget-schedules takes an integer")
-            }
-            "--budget-ms" => {
-                fuzz_cfg.budget_ms = value(&mut it).parse().expect("--budget-ms takes an integer")
-            }
-            "--batch" => fuzz_cfg.batch = value(&mut it).parse().expect("--batch takes an integer"),
-            "--corpus" => fuzz_corpus_dir = Some(value(&mut it)),
-            "--witness-dir" => witness_dir = Some(value(&mut it)),
-            "--max-n" => {
-                scale_cfg.max_n = value(&mut it).parse().expect("--max-n takes an integer")
-            }
-            "--sample" => {
-                scale_cfg.sample = value(&mut it).parse().expect("--sample takes an integer")
-            }
-            "--huge" => scale_cfg.huge = true,
-            "--json" => json_path = Some(value(&mut it)),
-            other => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if command == "scale" {
-        let report = run_scale_bench(&scale_cfg);
-        print!("{report}");
-        let ok = report.ok();
-        if let Some(path) = json_path {
-            let json = report.to_json().to_string_pretty();
-            std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("wrote scale bench to {path}");
-        }
-        return if ok {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("UNEXPECTED scale outcome");
-            ExitCode::FAILURE
-        };
-    }
-
-    if command == "fuzz" {
-        let extra = match &fuzz_corpus_dir {
-            Some(dir) => match load_seed_schedules(std::path::Path::new(dir)) {
-                Ok(seeds) => seeds,
-                Err(e) => {
-                    eprintln!("reading {dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => Vec::new(),
-        };
-        let report = run_fuzz_bench(&fuzz_cfg, &extra);
-        println!("{report}");
-        let ok = report.ok();
-        if let Some(dir) = witness_dir {
-            std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("creating {dir}: {e}"));
-            // One file per workload: the first (deterministically
-            // ordered) witness class found against it.
-            let mut written: Vec<String> = Vec::new();
-            for w in &report.witnesses {
-                if written.contains(&w.workload) {
-                    continue;
-                }
-                written.push(w.workload.clone());
-                let path = format!("{dir}/{}-fuzz.schedule", w.workload);
-                let text = format!(
-                    "# Fuzzer-found negative witness for {} (`{}`).\n\
-                     # Recorded by: lab fuzz --seed {} --budget-schedules {} (auto-shrunk \
-                     {} -> {} choices)\n{}",
-                    w.workload,
-                    w.verdict,
-                    fuzz_cfg.seed,
-                    fuzz_cfg.budget_schedules,
-                    w.shrink.original_len,
-                    w.shrink.final_len,
-                    w.schedule.to_text()
-                );
-                std::fs::write(&path, text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-                println!("wrote witness {path} (`{}`)", w.verdict);
-            }
-        }
-        if let Some(path) = json_path {
-            let json = report.to_json().to_string_pretty();
-            std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("wrote fuzz bench to {path}");
-        }
-        return if ok {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("UNEXPECTED fuzz outcome");
-            ExitCode::FAILURE
-        };
-    }
-
-    if command == "byzantine" {
-        let report = run_byzantine_bench(&byz_cfg);
-        print!("{report}");
-        let ok = report.ok();
-        if let Some(path) = json_path {
-            let json = report.to_json().to_string_pretty();
-            std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("wrote byzantine bench to {path}");
-        }
-        return if ok {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("UNEXPECTED byzantine outcome");
-            ExitCode::FAILURE
-        };
-    }
-
-    if command == "faults" {
-        let report = run_faults_bench(&faults_cfg);
-        print!("{report}");
-        let ok = report.ok();
-        if let Some(path) = json_path {
-            let json = report.to_json().to_string_pretty();
-            std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("wrote faults bench to {path}");
-        }
-        return if ok {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("UNEXPECTED faults outcome");
-            ExitCode::FAILURE
-        };
-    }
-
-    if command == "explore" {
-        let report = run_explore_bench(&explore_cfg);
-        print!("{report}");
-        if report.frontier_regressed() {
-            eprintln!(
-                "error: frontier_speedup {:.2} < 1.0 — the parallel frontier leg is slower than \
-                 the unreduced baseline; CI fails the explore job on this (release artifact only)",
-                report.frontier_speedup()
-            );
-        }
-        let ok = report.verdicts_agree() && report.reduced.ok();
-        if let Some(path) = json_path {
-            let json = report.to_json().to_string_pretty();
-            std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("wrote explore bench to {path}");
-        }
-        return if ok {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("UNEXPECTED explore outcome");
-            ExitCode::FAILURE
-        };
-    }
-
-    let timed_run = |id: &str| -> (ExperimentReport, Duration) {
-        let t0 = Instant::now();
-        let r = run_experiment(id, &cfg);
-        let wall = t0.elapsed();
-        print!("{r}");
-        (r, wall)
-    };
-
-    let reports: Vec<(ExperimentReport, Duration)> = match command.as_str() {
-        "figure1" => {
-            print!("{}", render_figure1(&cfg));
-            return ExitCode::SUCCESS;
-        }
-        "all" => EXPERIMENT_IDS.iter().map(|id| timed_run(id)).collect(),
-        id if EXPERIMENT_IDS.contains(&id) => vec![timed_run(id)],
-        other => {
-            eprintln!(
-                "unknown command {other}; expected e1..e15, explore, faults, byzantine, scale, fuzz, figure1 or all"
-            );
+    match args.first().map(String::as_str) {
+        None => {
+            eprint!("{}", usage());
             return ExitCode::FAILURE;
         }
-    };
-
-    let all_ok = reports.iter().all(|(r, _)| r.ok);
-    if let Some(path) = json_path {
-        let json = ExperimentReport::batch_to_json_pretty(&reports);
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {} report(s) to {path}", reports.len());
+        Some("--help" | "-h") => {
+            print!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        Some(_) => {}
     }
-    if all_ok {
+    match run(&args[0], &args[1..]) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// Maps a file error on `path` to [`CliError::Io`].
+fn io_err<E: fmt::Display>(path: &str) -> impl FnOnce(E) -> CliError + '_ {
+    move |e| CliError::Io { path: path.to_string(), reason: e.to_string() }
+}
+
+fn write_file(path: &str, text: &str) -> Result<(), CliError> {
+    std::fs::write(path, text).map_err(io_err(path))
+}
+
+fn exit_code(ok: bool, what: &str) -> ExitCode {
+    if ok {
         ExitCode::SUCCESS
     } else {
-        eprintln!("UNEXPECTED outcomes present");
+        eprintln!("UNEXPECTED {what}");
         ExitCode::FAILURE
     }
 }
 
-/// The `lab repro` verb: record, shrink, replay and verify counterexample
-/// schedules (see `sih_lab::repro`).
-///
-/// ```text
-/// lab repro record --workload W [--n N] [--k K] [--seed S] [--scan T]
-///                  [--steps M] [--shrink] [--out FILE]
-/// lab repro shrink FILE [--out FILE]
-/// lab repro replay FILE [--lenient]
-/// lab repro corpus DIR [--threads T] [--fresh DIR]
-/// ```
-fn repro_cli(args: &[String]) -> ExitCode {
-    let usage = || -> ExitCode {
-        eprintln!("usage: lab repro record --workload W [--n N] [--k K] [--seed S] [--scan T] [--steps M] [--shrink] [--out FILE]");
-        eprintln!("       lab repro shrink FILE [--out FILE]");
-        eprintln!("       lab repro replay FILE [--lenient]");
-        eprintln!("       lab repro corpus DIR [--threads T] [--fresh DIR]");
-        eprintln!(
-            "workloads: {}",
-            repro::WORKLOADS.iter().map(|w| w.name).collect::<Vec<_>>().join(", ")
-        );
-        ExitCode::FAILURE
-    };
-    let Some(sub) = args.first() else { return usage() };
-
-    // Flag parsing shared by all subcommands; positional args collected.
-    let mut workload_name: Option<String> = None;
-    let mut n: Option<usize> = None;
-    let mut k: usize = 1;
-    let mut seed: u64 = 0;
-    let mut scan: Option<u64> = None;
-    let mut steps: Option<u64> = None;
-    let mut out: Option<String> = None;
-    let mut threads: usize = 0;
-    let mut fresh: Option<String> = None;
-    let mut lenient = false;
-    let mut do_shrink = false;
-    let mut positional: Vec<String> = Vec::new();
-
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        let value = |it: &mut std::slice::Iter<String>| -> String {
-            it.next().unwrap_or_else(|| panic!("missing value for {flag}")).clone()
-        };
-        match flag.as_str() {
-            "--workload" => workload_name = Some(value(&mut it)),
-            "--n" => n = Some(value(&mut it).parse().expect("--n takes an integer")),
-            "--k" => k = value(&mut it).parse().expect("--k takes an integer"),
-            "--seed" => seed = value(&mut it).parse().expect("--seed takes an integer"),
-            "--scan" => scan = Some(value(&mut it).parse().expect("--scan takes an integer")),
-            "--steps" => steps = Some(value(&mut it).parse().expect("--steps takes an integer")),
-            "--out" => out = Some(value(&mut it)),
-            "--threads" => threads = value(&mut it).parse().expect("--threads takes an integer"),
-            "--fresh" => fresh = Some(value(&mut it)),
-            "--lenient" => lenient = true,
-            "--shrink" => do_shrink = true,
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::FAILURE;
-            }
-            other => positional.push(other.to_string()),
-        }
+/// Prints a bench report, writes its JSON record to `--json` if given,
+/// and maps its verdict to the exit code.
+fn emit(
+    what: &str,
+    report: &dyn fmt::Display,
+    json: impl FnOnce() -> Value,
+    ok: bool,
+    path: Option<&str>,
+) -> Result<ExitCode, CliError> {
+    print!("{report}");
+    if let Some(path) = path {
+        write_file(path, &json().to_string_pretty())?;
+        println!("wrote {what} bench to {path}");
     }
+    Ok(exit_code(ok, &format!("{what} outcome")))
+}
 
-    let write_or_print = |schedule: &Schedule, out: &Option<String>| {
-        let text = schedule.to_text();
-        match out {
-            Some(path) => {
-                std::fs::write(path, &text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-                println!(
-                    "wrote {path} ({} choices, verdict `{}`)",
-                    schedule.choices.len(),
-                    schedule.verdict
+fn run(command: &str, args: &[String]) -> Result<ExitCode, CliError> {
+    let (o, positional) = parse(args)?;
+    if command == "repro" {
+        return repro_cli(&o, &positional);
+    }
+    if let Some(extra) = positional.first() {
+        return Err(CliError::Usage(format!("unexpected argument {extra}")));
+    }
+    let json = o.json.as_deref();
+    match command {
+        "scale" => {
+            let r = run_scale_bench(&o.scale);
+            emit("scale", &r, || r.to_json(), r.ok(), json)
+        }
+        "byzantine" => {
+            let r = run_byzantine_bench(&o.byz);
+            emit("byzantine", &r, || r.to_json(), r.ok(), json)
+        }
+        "faults" => {
+            let r = run_faults_bench(&o.faults);
+            emit("faults", &r, || r.to_json(), r.ok(), json)
+        }
+        "explore" => {
+            let r = run_explore_bench(&o.explore);
+            if r.frontier_regressed() {
+                eprintln!(
+                    "error: frontier_speedup {:.2} < 1.0 — the parallel frontier leg is slower \
+                     than the unreduced baseline; CI fails the explore job on this (release \
+                     artifact only)",
+                    r.frontier_speedup()
                 );
             }
-            None => print!("{text}"),
+            emit("explore", &r, || r.to_json(), r.verdicts_agree() && r.reduced.ok(), json)
         }
-    };
-    let load = |path: &str| -> Result<Schedule, ExitCode> {
-        let text = std::fs::read_to_string(path).map_err(|e| {
-            eprintln!("reading {path}: {e}");
-            ExitCode::FAILURE
-        })?;
-        Schedule::parse(&text).map_err(|e| {
-            eprintln!("{path}: {e}");
-            ExitCode::FAILURE
-        })
-    };
+        "fuzz" => {
+            let extra = match &o.corpus {
+                Some(dir) => load_seed_schedules(std::path::Path::new(dir)).map_err(io_err(dir))?,
+                None => Vec::new(),
+            };
+            let r = run_fuzz_bench(&o.fuzz, &extra);
+            let code = emit("fuzz", &r, || r.to_json(), r.ok(), json)?;
+            if let Some(dir) = &o.witness_dir {
+                write_witnesses(dir, &o.fuzz, &r)?;
+            }
+            Ok(code)
+        }
+        "figure1" => {
+            print!("{}", render_figure1(&o.lab));
+            Ok(ExitCode::SUCCESS)
+        }
+        "all" => experiments(&o, EXPERIMENT_IDS.to_vec()),
+        id if EXPERIMENT_IDS.contains(&id) => experiments(&o, vec![id]),
+        other => Err(CliError::Usage(format!(
+            "unknown command {other}; expected e1..e15, explore, faults, byzantine, scale, fuzz, \
+             figure1, repro or all"
+        ))),
+    }
+}
 
+/// Runs experiments by id, printing each report as it finishes.
+fn experiments(o: &Opts, ids: Vec<&str>) -> Result<ExitCode, CliError> {
+    let reports: Vec<(ExperimentReport, Duration)> = ids
+        .into_iter()
+        .map(|id| {
+            let t0 = Instant::now();
+            let r = run_experiment(id, &o.lab);
+            let wall = t0.elapsed();
+            print!("{r}");
+            (r, wall)
+        })
+        .collect();
+    if let Some(path) = &o.json {
+        write_file(path, &ExperimentReport::batch_to_json_pretty(&reports))?;
+        println!("wrote {} report(s) to {path}", reports.len());
+    }
+    Ok(exit_code(reports.iter().all(|(r, _)| r.ok), "outcomes present"))
+}
+
+/// Writes one shrunk witness per workload — the first (deterministically
+/// ordered) witness class found against it — in corpus format.
+fn write_witnesses(
+    dir: &str,
+    cfg: &FuzzLabConfig,
+    report: &sih_lab::FuzzBenchReport,
+) -> Result<(), CliError> {
+    std::fs::create_dir_all(dir).map_err(io_err(dir))?;
+    let mut written: Vec<&str> = Vec::new();
+    for w in &report.witnesses {
+        if written.contains(&w.workload.as_str()) {
+            continue;
+        }
+        written.push(&w.workload);
+        let path = format!("{dir}/{}-fuzz.schedule", w.workload);
+        let text = format!(
+            "# Fuzzer-found negative witness for {} (`{}`).\n\
+             # Recorded by: lab fuzz --seed {} --budget-schedules {} (auto-shrunk \
+             {} -> {} choices)\n{}",
+            w.workload,
+            w.verdict,
+            cfg.seed,
+            cfg.budget_schedules,
+            w.shrink.original_len,
+            w.shrink.final_len,
+            w.schedule.to_text()
+        );
+        write_file(&path, &text)?;
+        println!("wrote witness {path} (`{}`)", w.verdict);
+    }
+    Ok(())
+}
+
+/// The `lab repro` verb: record, shrink, replay and verify counterexample
+/// schedules (see `sih_lab::repro`).
+fn repro_cli(o: &Opts, positional: &[String]) -> Result<ExitCode, CliError> {
+    let Some((sub, rest)) = positional.split_first() else {
+        return Err(CliError::Usage("repro needs a subcommand".into()));
+    };
+    let arg = |what: &str| {
+        rest.first().ok_or_else(|| CliError::Usage(format!("repro {sub} needs {what}")))
+    };
+    let failed = |e: &dyn fmt::Display| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    };
+    let load = |path: &str| -> Result<Schedule, CliError> {
+        let text = std::fs::read_to_string(path).map_err(io_err(path))?;
+        Schedule::parse(&text).map_err(io_err(path))
+    };
     match sub.as_str() {
         "record" => {
-            let Some(name) = workload_name else {
-                eprintln!("record needs --workload");
-                return usage();
-            };
-            let captured = match scan {
+            let name = o
+                .workload
+                .clone()
+                .ok_or_else(|| CliError::Usage("repro record needs --workload".into()))?;
+            let k = o.k.unwrap_or(1);
+            let captured = match o.scan {
                 Some(tries) => repro::record_first_violation(&name, k, tries),
-                None => {
-                    let mut req = repro::RecordRequest::new(&name);
-                    req.n = n;
-                    req.k = k;
-                    req.seed = seed;
-                    req.max_steps = steps;
-                    repro::record(&req)
-                }
+                None => repro::record(&repro::RecordRequest {
+                    workload: name.clone(),
+                    n: o.n,
+                    k,
+                    seed: o.fuzz.seed,
+                    max_steps: o.steps,
+                }),
             };
             match captured {
-                Ok(Some(mut s)) => {
-                    if do_shrink {
-                        let (small, report) = match repro::shrink(&s) {
-                            Ok(r) => r,
-                            Err(e) => {
-                                eprintln!("shrink: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        };
-                        eprintln!(
-                            "shrunk {} -> {} choices ({} candidates tried, {} accepted, {} rounds)",
-                            report.original_len,
-                            report.final_len,
-                            report.candidates_tried,
-                            report.candidates_accepted,
-                            report.rounds
-                        );
-                        s = small;
-                    }
-                    write_or_print(&s, &out);
-                    ExitCode::SUCCESS
-                }
-                Ok(None) => {
-                    eprintln!("{name}: no violation captured (run was clean)");
-                    ExitCode::FAILURE
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
+                Ok(Some(s)) if o.shrink => match repro::shrink(&s) {
+                    Ok((small, report)) => write_or_print(&small, Some(&report), &o.out),
+                    Err(e) => Ok(failed(&format!("shrink: {e}"))),
+                },
+                Ok(Some(s)) => write_or_print(&s, None, &o.out),
+                Ok(None) => Ok(failed(&format!("{name}: no violation captured (run was clean)"))),
+                Err(e) => Ok(failed(&e)),
             }
         }
-        "shrink" => {
-            let Some(path) = positional.first() else {
-                eprintln!("shrink needs a schedule file");
-                return usage();
-            };
-            let s = match load(path) {
-                Ok(s) => s,
-                Err(code) => return code,
-            };
-            match repro::shrink(&s) {
-                Ok((small, report)) => {
-                    eprintln!(
-                        "shrunk {} -> {} choices ({} candidates tried, {} accepted, {} rounds)",
-                        report.original_len,
-                        report.final_len,
-                        report.candidates_tried,
-                        report.candidates_accepted,
-                        report.rounds
-                    );
-                    write_or_print(&small, &out);
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
+        "shrink" => match repro::shrink(&load(arg("a schedule file")?)?) {
+            Ok((small, report)) => write_or_print(&small, Some(&report), &o.out),
+            Err(e) => Ok(failed(&e)),
+        },
         "replay" => {
-            let Some(path) = positional.first() else {
-                eprintln!("replay needs a schedule file");
-                return usage();
-            };
-            let s = match load(path) {
-                Ok(s) => s,
-                Err(code) => return code,
-            };
-            let mode = if lenient { repro::ReplayMode::Lenient } else { repro::ReplayMode::Strict };
+            let path = arg("a schedule file")?;
+            let s = load(path)?;
+            let mode =
+                if o.lenient { repro::ReplayMode::Lenient } else { repro::ReplayMode::Strict };
             match repro::replay(&s, mode) {
                 Ok(rep) => {
                     println!(
@@ -496,79 +456,82 @@ fn repro_cli(args: &[String]) -> ExitCode {
                         rep.executed.len(),
                         if rep.matches { "reproduced" } else { "STALE" }
                     );
-                    if rep.matches {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    }
+                    Ok(if rep.matches { ExitCode::SUCCESS } else { ExitCode::FAILURE })
                 }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
+                Err(e) => Ok(failed(&e)),
             }
         }
         "corpus" => {
-            let Some(dir) = positional.first() else {
-                eprintln!("corpus needs a directory");
-                return usage();
-            };
-            let entries = match repro::verify_corpus_dir(std::path::Path::new(dir), threads) {
-                Ok(entries) => entries,
-                Err(e) => {
-                    eprintln!("reading {dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let dir = arg("a directory")?;
+            let entries = repro::verify_corpus_dir(std::path::Path::new(dir), o.lab.threads)
+                .map_err(io_err(dir))?;
             if entries.is_empty() {
-                eprintln!("{dir}: no *.schedule files");
-                return ExitCode::FAILURE;
+                return Ok(failed(&format!("{dir}: no *.schedule files")));
             }
-            let mut ok = true;
             for entry in &entries {
                 println!("{entry}");
-                ok &= entry.ok;
             }
-            if let Some(fresh_dir) = fresh {
-                if let Err(code) = record_fresh_corpus(&fresh_dir) {
-                    return code;
-                }
-            }
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("STALE corpus entries present");
-                ExitCode::FAILURE
-            }
+            let fresh_ok = match &o.fresh {
+                Some(fresh_dir) => record_fresh_corpus(fresh_dir)?,
+                None => true,
+            };
+            Ok(exit_code(entries.iter().all(|e| e.ok) && fresh_ok, "corpus outcome"))
         }
-        _ => usage(),
+        other => Err(CliError::Usage(format!("unknown repro subcommand {other}"))),
     }
+}
+
+/// Writes `schedule` to `--out` (or stdout), after the shrink summary
+/// when it was shrunk.
+fn write_or_print(
+    schedule: &Schedule,
+    shrunk: Option<&ShrinkReport>,
+    out: &Option<String>,
+) -> Result<ExitCode, CliError> {
+    if let Some(r) = shrunk {
+        eprintln!(
+            "shrunk {} -> {} choices ({} candidates tried, {} accepted, {} rounds)",
+            r.original_len, r.final_len, r.candidates_tried, r.candidates_accepted, r.rounds
+        );
+    }
+    match out {
+        Some(path) => {
+            write_file(path, &schedule.to_text())?;
+            println!(
+                "wrote {path} ({} choices, verdict `{}`)",
+                schedule.choices.len(),
+                schedule.verdict
+            );
+        }
+        None => print!("{}", schedule.to_text()),
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Records and shrinks a fresh counterexample for every weakened workload
 /// into `dir` — the CI artifact proving the pipeline still captures each
-/// planted violation from scratch.
-fn record_fresh_corpus(dir: &str) -> Result<(), ExitCode> {
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {dir}: {e}"));
+/// planted violation from scratch. Returns whether every capture worked.
+fn record_fresh_corpus(dir: &str) -> Result<bool, CliError> {
+    std::fs::create_dir_all(dir).map_err(io_err(dir))?;
     for w in repro::WORKLOADS.iter().filter(|w| !w.expect_ok) {
-        let captured = repro::record_first_violation(w.name, 1, 64).map_err(|e| {
-            eprintln!("{}: {e}", w.name);
-            ExitCode::FAILURE
-        })?;
-        let Some(s) = captured else {
-            eprintln!("{}: planted violation NOT captured in 64 seeds", w.name);
-            return Err(ExitCode::FAILURE);
+        let shrunk = match repro::record_first_violation(w.name, 1, 64) {
+            Ok(Some(s)) => repro::shrink(&s).map_err(|e| format!("shrink: {e}")),
+            Ok(None) => Err("planted violation NOT captured in 64 seeds".to_string()),
+            Err(e) => Err(e.to_string()),
         };
-        let (small, report) = repro::shrink(&s).map_err(|e| {
-            eprintln!("{}: shrink: {e}", w.name);
-            ExitCode::FAILURE
-        })?;
+        let (small, report) = match shrunk {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("{}: {e}", w.name);
+                return Ok(false);
+            }
+        };
         let path = format!("{dir}/{}.schedule", w.name);
-        std::fs::write(&path, small.to_text()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        write_file(&path, &small.to_text())?;
         println!(
             "fresh {}: `{}` shrunk {} -> {} choices",
             path, small.verdict, report.original_len, report.final_len
         );
     }
-    Ok(())
+    Ok(true)
 }

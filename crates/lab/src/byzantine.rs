@@ -21,15 +21,14 @@
 //! only on `(cell, rung, seed)`, so the JSON is bitwise identical for
 //! any `--threads`.
 
+use crate::faults::{degraded_verdict, matrix_algorithm};
 use crate::json::{ObjectBuilder, Value};
 use crate::repro::quiet_catch;
-use sih::pipeline;
-use sih_agreement::{check_k_set_agreement_degraded, distinct_proposals};
+use sih::pipeline::{RunPool, RunSpec};
 use sih_model::{
     AdversaryPlan, Armor, AttackClass, AttackKind, AttackSpec, FailurePattern, MutationKind,
-    OpKind, ProcessId, ProcessSet, Time,
+    ProcessId, Time,
 };
-use sih_registers::check_linearizable_degraded;
 use sih_runtime::sweep::Sweep;
 use sih_runtime::{LivenessVerdict, RunOutcome, TraceLevel};
 use std::fmt;
@@ -369,7 +368,6 @@ pub fn run_byzantine_bench(cfg: &ByzantineLabConfig) -> ByzantineBenchReport {
     let t0 = Instant::now();
     let n = cfg.n;
     let pattern = FailurePattern::all_correct(n);
-    let proposals = distinct_proposals(n);
     let ladder = Armor::LADDER.len();
 
     // The canonical grid: every (cell, rung) leg × every seed.
@@ -382,94 +380,27 @@ pub fn run_byzantine_bench(cfg: &ByzantineLabConfig) -> ByzantineBenchReport {
 
     let max_steps = cfg.max_steps;
     let samples: Vec<Sample> = Sweep::new(cfg.threads).run(grid, || {
+        let mut pool = RunPool::with_trace_level(TraceLevel::Light);
         let pattern = pattern.clone();
-        let proposals = proposals.clone();
-        let mut fig2 = pipeline::ByzFig2Pool::with_trace_level(TraceLevel::Light);
-        let mut fig4 = pipeline::ByzFig4Pool::with_trace_level(TraceLevel::Light);
-        let mut abd = pipeline::ByzRegisterPool::with_trace_level(TraceLevel::Light);
         move |_idx, (leg, seed): (usize, u64)| {
-            let spec = &CELLS[leg / ladder];
+            let cell = &CELLS[leg / ladder];
             let armor = Armor::LADDER[leg % ladder];
-            let (plan, attack) = cell_adversary(spec, n);
+            let (plan, attack) = cell_adversary(cell, n);
+            let spec =
+                RunSpec::new(matrix_algorithm(cell.workload), pattern.clone(), seed, max_steps)
+                    .with_adversary(plan, attack, armor);
             // A mutated value can trip an automaton invariant (e.g.
             // Fig. 2's validity `expect`); that is a violation-grade
             // outcome of its own, not a harness crash. The pool resets
             // fully on the next acquire.
-            let ran = quiet_catch(std::panic::AssertUnwindSafe(|| match spec.workload {
-                "fig2" => {
-                    let (tr, outcome) = pipeline::run_fig2_byz_pooled(
-                        &mut fig2,
-                        &pattern,
-                        &plan,
-                        attack,
-                        armor,
-                        ProcessId(0),
-                        ProcessId(1),
-                        seed,
-                        max_steps,
-                    );
-                    let v = check_k_set_agreement_degraded(
-                        tr,
-                        &pattern,
-                        &proposals,
-                        n - 1,
-                        outcome.reason,
-                    );
-                    (v.is_ok(), v == Ok(LivenessVerdict::Live), outcome)
-                }
-                "fig4" => {
-                    let active = ProcessSet::from_iter([0, 1].map(ProcessId));
-                    let (tr, outcome) = pipeline::run_fig4_byz_pooled(
-                        &mut fig4, &pattern, &plan, armor, active, seed, max_steps,
-                    );
-                    let v = check_k_set_agreement_degraded(
-                        tr,
-                        &pattern,
-                        &proposals,
-                        n - 1,
-                        outcome.reason,
-                    );
-                    (v.is_ok(), v == Ok(LivenessVerdict::Live), outcome)
-                }
-                "abd" => {
-                    let s = ProcessSet::from_iter([0, 1].map(ProcessId));
-                    let scripts = vec![
-                        vec![OpKind::Write(sih_model::Value(1)), OpKind::Read],
-                        vec![OpKind::Read, OpKind::Write(sih_model::Value(2)), OpKind::Read],
-                    ];
-                    let (tr, outcome) = pipeline::run_register_workload_byz_pooled(
-                        &mut abd,
-                        &pattern,
-                        &plan,
-                        attack,
-                        armor,
-                        ProcessId(n as u32 - 1),
-                        s,
-                        scripts,
-                        seed,
-                        max_steps,
-                    );
-                    let v = check_linearizable_degraded(
-                        &tr.op_records(),
-                        None,
-                        &pattern,
-                        outcome.reason,
-                    );
-                    (v.is_ok(), v == Ok(LivenessVerdict::Live), outcome)
-                }
-                other => unreachable!("workload {other}"),
+            let ran = quiet_catch(std::panic::AssertUnwindSafe(|| {
+                let (tr, outcome) = pool.run(&spec);
+                (degraded_verdict(&spec, tr, &outcome), outcome)
             }));
             match ran {
-                Ok((safe, live, outcome)) => {
-                    let verdict = if !safe {
-                        RunVerdict::Violation
-                    } else if live {
-                        RunVerdict::Live
-                    } else {
-                        RunVerdict::SafeNotLive
-                    };
-                    (leg, verdict, Some(outcome))
-                }
+                Ok((Err(_), outcome)) => (leg, RunVerdict::Violation, Some(outcome)),
+                Ok((Ok(LivenessVerdict::Live), outcome)) => (leg, RunVerdict::Live, Some(outcome)),
+                Ok((Ok(_), outcome)) => (leg, RunVerdict::SafeNotLive, Some(outcome)),
                 Err(()) => (leg, RunVerdict::Panic, None),
             }
         }

@@ -7,7 +7,7 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sih::claims::{check_claim, Claim, ClaimConfig, Verdict};
 use sih::patterns::{pattern_suite, random_majority_pattern};
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
 use sih_agreement::{check_k_set_agreement, distinct_proposals};
 use sih_detectors::{check_anti_omega, check_sigma, check_sigma_k, check_sigma_s, QuorumSigma};
 use sih_model::{FailurePattern, NoDetector, ProcessId, ProcessSet, Value};
@@ -144,9 +144,15 @@ fn e1_fig2(cfg: &LabConfig) -> ExperimentReport {
     let max_steps = cfg.max_steps;
     for n in [3usize, 4, cfg.n.max(5)] {
         let samples = sweep_runs(cfg.threads, cfg.seeds, pattern_suite(n, focus, 3, 101), || {
-            let mut pool = pipeline::Fig2Pool::with_trace_level(TraceLevel::Light);
+            let mut pool = RunPool::with_trace_level(TraceLevel::Light);
             move |pattern: &FailurePattern, seed| {
-                let tr = pipeline::run_fig2_pooled(&mut pool, pattern, p, q, seed, max_steps);
+                let spec = RunSpec::new(
+                    Algorithm::Fig2 { a0: p, a1: q },
+                    pattern.clone(),
+                    seed,
+                    max_steps,
+                );
+                let (tr, _) = pool.run(&spec);
                 let violated =
                     check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - 1).is_err();
                 vec![(tr.total_steps(), tr.messages_sent(), violated)]
@@ -176,14 +182,14 @@ fn e2_fig3(cfg: &LabConfig) -> ExperimentReport {
     let mut stats = RunStats::default();
     let (n, max_steps) = (cfg.n, cfg.max_steps);
     let samples = sweep_runs(cfg.threads, cfg.seeds, pattern_suite(n, focus, 4, 103), || {
-        let mut fig3 = pipeline::Fig3Pool::with_trace_level(TraceLevel::Light);
-        let mut stack = pipeline::StackFig3Fig2Pool::with_trace_level(TraceLevel::Light);
+        let mut pool = RunPool::with_trace_level(TraceLevel::Light);
         move |pattern: &FailurePattern, seed| {
-            let tr = pipeline::run_fig3_pooled(&mut fig3, pattern, p, q, seed, 6_000);
+            let fig3 = Algorithm::Fig3 { p, q };
+            let (tr, _) = pool.run(&RunSpec::new(fig3, pattern.clone(), seed, 6_000));
             let v1 = check_sigma(tr.emulated_history(), pattern, focus).is_err();
             let s1 = (tr.total_steps(), tr.messages_sent(), v1);
-            let tr =
-                pipeline::run_stack_fig3_fig2_pooled(&mut stack, pattern, p, q, seed, max_steps);
+            let stack = Algorithm::StackFig3Fig2 { p, q };
+            let (tr, _) = pool.run(&RunSpec::new(stack, pattern.clone(), seed, max_steps));
             let v2 = check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - 1).is_err();
             vec![s1, (tr.total_steps(), tr.messages_sent(), v2)]
         }
@@ -244,9 +250,11 @@ fn e4_fig4(cfg: &LabConfig) -> ExperimentReport {
         let active: ProcessSet = (0..2 * k as u32).map(ProcessId).collect();
         let suite = pattern_suite(n, active, 3, 107 + k as u64);
         let samples = sweep_runs(cfg.threads, cfg.seeds, suite, || {
-            let mut pool = pipeline::Fig4Pool::with_trace_level(TraceLevel::Light);
+            let mut pool = RunPool::with_trace_level(TraceLevel::Light);
             move |pattern: &FailurePattern, seed| {
-                let tr = pipeline::run_fig4_pooled(&mut pool, pattern, active, seed, max_steps);
+                let spec =
+                    RunSpec::new(Algorithm::Fig4 { active }, pattern.clone(), seed, max_steps);
+                let (tr, _) = pool.run(&spec);
                 let violated =
                     check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - k).is_err();
                 vec![(tr.total_steps(), tr.messages_sent(), violated)]
@@ -275,14 +283,14 @@ fn e5_fig5(cfg: &LabConfig) -> ExperimentReport {
     let mut stats = RunStats::default();
     let (n, k, max_steps) = (cfg.n, cfg.k, cfg.max_steps);
     let samples = sweep_runs(cfg.threads, cfg.seeds, pattern_suite(n, x, 4, 109), || {
-        let mut fig5 = pipeline::Fig5Pool::with_trace_level(TraceLevel::Light);
-        let mut stack = pipeline::StackFig5Fig4Pool::with_trace_level(TraceLevel::Light);
+        let mut pool = RunPool::with_trace_level(TraceLevel::Light);
         move |pattern: &FailurePattern, seed| {
-            let tr = pipeline::run_fig5_pooled(&mut fig5, pattern, x, seed, 6_000);
+            let (tr, _) =
+                pool.run(&RunSpec::new(Algorithm::Fig5 { x }, pattern.clone(), seed, 6_000));
             let v1 = check_sigma_k(tr.emulated_history(), pattern, x).is_err();
             let s1 = (tr.total_steps(), tr.messages_sent(), v1);
-            let tr =
-                pipeline::run_stack_fig5_fig4_pooled(&mut stack, pattern, x, seed, max_steps * 2);
+            let stack = Algorithm::StackFig5Fig4 { x };
+            let (tr, _) = pool.run(&RunSpec::new(stack, pattern.clone(), seed, max_steps * 2));
             let v2 = check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - k).is_err();
             vec![s1, (tr.total_steps(), tr.messages_sent(), v2)]
         }
@@ -390,9 +398,11 @@ fn e9_fig6(cfg: &LabConfig) -> ExperimentReport {
     let focus = ProcessSet::from_iter([p, q]);
     let mut stats = RunStats::default();
     let samples = sweep_runs(cfg.threads, cfg.seeds, pattern_suite(cfg.n, focus, 4, 113), || {
-        let mut pool = pipeline::Fig6Pool::with_trace_level(TraceLevel::Light);
+        let mut pool = RunPool::with_trace_level(TraceLevel::Light);
         move |pattern: &FailurePattern, seed| {
-            let tr = pipeline::run_fig6_pooled(&mut pool, pattern, p, q, seed, 25_000);
+            let spec =
+                RunSpec::new(Algorithm::Fig6 { a0: p, a1: q }, pattern.clone(), seed, 25_000);
+            let (tr, _) = pool.run(&spec);
             let violated = check_anti_omega(tr.emulated_history(), pattern).is_err();
             vec![(tr.total_steps(), tr.messages_sent(), violated)]
         }
@@ -467,17 +477,15 @@ fn e11_abd(cfg: &LabConfig) -> ExperimentReport {
         let items: Vec<(FailurePattern, u64)> =
             (0..cfg.seeds).map(|seed| (random_majority_pattern(cfg.n, &mut rng), seed)).collect();
         let samples = Sweep::new(cfg.threads).run(items, || {
-            let mut pool = pipeline::RegisterPool::with_trace_level(TraceLevel::Light);
+            let mut pool = RunPool::with_trace_level(TraceLevel::Light);
             move |_idx, (pattern, seed): (FailurePattern, u64)| {
-                let spec = WorkloadSpec { ops_per_process: 4, read_ratio: 0.5, seed };
-                let tr = pipeline::run_register_workload_pooled(
-                    &mut pool,
-                    &pattern,
-                    s,
-                    spec.scripts(s),
+                let scripts = WorkloadSpec { ops_per_process: 4, read_ratio: 0.5, seed }.scripts(s);
+                let (tr, _) = pool.run(&RunSpec::new(
+                    Algorithm::Abd { s, scripts },
+                    pattern,
                     seed,
                     max_steps,
-                );
+                ));
                 let violated = check_linearizable(&tr.op_records(), None).is_err();
                 (tr.total_steps(), tr.messages_sent(), violated)
             }

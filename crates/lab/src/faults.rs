@@ -10,12 +10,12 @@
 //! so the JSON is bitwise identical for any `--threads`.
 
 use crate::json::{ObjectBuilder, Value};
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
 use sih_agreement::{check_k_set_agreement_degraded, distinct_proposals};
 use sih_model::{FailurePattern, LinkFaultPlan, OpKind, ProcessId, ProcessSet, Time};
 use sih_registers::check_linearizable_degraded;
 use sih_runtime::sweep::Sweep;
-use sih_runtime::{LivenessVerdict, StopReason, TraceLevel};
+use sih_runtime::{LivenessVerdict, RunOutcome, StopReason, Trace, TraceLevel};
 use std::fmt;
 use std::time::Instant;
 
@@ -87,7 +87,7 @@ fn scenario_plan(scenario: &str, n: usize) -> LinkFaultPlan {
 }
 
 /// Accumulated result of one (workload, scenario) cell of the matrix.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultCell {
     /// Which algorithm ran (`"fig2"`, `"fig4"`, `"abd"`).
     pub workload: &'static str,
@@ -259,7 +259,49 @@ impl fmt::Display for FaultsBenchReport {
 
 /// One run's contribution to its cell: `(verdict, outcome)` folded
 /// serially in canonical grid order.
-type CellSample = (usize, Result<LivenessVerdict, String>, sih_runtime::RunOutcome);
+type CellSample = (usize, Result<LivenessVerdict, String>, RunOutcome);
+
+/// The algorithm behind a matrix workload name (`"fig2"`, `"fig4"`,
+/// `"abd"`), shared by the faults and byzantine matrices.
+pub(crate) fn matrix_algorithm(workload: &str) -> Algorithm {
+    let pair = ProcessSet::from_iter([0, 1].map(ProcessId));
+    match workload {
+        "fig2" => Algorithm::Fig2 { a0: ProcessId(0), a1: ProcessId(1) },
+        "fig4" => Algorithm::Fig4 { active: pair },
+        "abd" => Algorithm::Abd {
+            s: pair,
+            scripts: vec![
+                vec![OpKind::Write(sih_model::Value(1)), OpKind::Read],
+                vec![OpKind::Read, OpKind::Write(sih_model::Value(2)), OpKind::Read],
+            ],
+        },
+        other => unreachable!("matrix workload {other}"),
+    }
+}
+
+/// A matrix run's degraded verdict: `(n−1)`-set agreement for the
+/// agreement workloads, linearizability for ABD.
+pub(crate) fn degraded_verdict(
+    spec: &RunSpec,
+    tr: &Trace,
+    outcome: &RunOutcome,
+) -> Result<LivenessVerdict, String> {
+    let (pattern, n) = (&spec.pattern, spec.pattern.n());
+    match spec.algorithm {
+        Algorithm::Abd { .. } => {
+            check_linearizable_degraded(&tr.op_records(), None, pattern, outcome.reason)
+                .map_err(|e| e.to_string())
+        }
+        _ => check_k_set_agreement_degraded(
+            tr,
+            pattern,
+            &distinct_proposals(n),
+            n - 1,
+            outcome.reason,
+        )
+        .map_err(|e| e.to_string()),
+    }
+}
 
 /// Runs the full robustness matrix and the starvation leg.
 ///
@@ -272,7 +314,6 @@ pub fn run_faults_bench(cfg: &FaultsLabConfig) -> FaultsBenchReport {
     let t0 = Instant::now();
     let n = cfg.n;
     let pattern = FailurePattern::all_correct(n);
-    let proposals = distinct_proposals(n);
 
     // The canonical grid: every (workload, scenario) cell × every seed.
     let mut grid: Vec<(usize, u64)> = Vec::new();
@@ -284,96 +325,28 @@ pub fn run_faults_bench(cfg: &FaultsLabConfig) -> FaultsBenchReport {
 
     let max_steps = cfg.max_steps;
     let samples: Vec<CellSample> = Sweep::new(cfg.threads).run(grid, || {
+        let mut pool = RunPool::with_trace_level(TraceLevel::Light);
         let pattern = pattern.clone();
-        let proposals = proposals.clone();
-        let mut fig2 = pipeline::FaultyFig2Pool::with_trace_level(TraceLevel::Light);
-        let mut fig4 = pipeline::FaultyFig4Pool::with_trace_level(TraceLevel::Light);
-        let mut abd = pipeline::FaultyRegisterPool::with_trace_level(TraceLevel::Light);
         move |_idx, (cell, seed): (usize, u64)| {
-            let workload = WORKLOADS[cell / SCENARIOS.len()];
+            let algorithm = matrix_algorithm(WORKLOADS[cell / SCENARIOS.len()]);
             let plan = scenario_plan(SCENARIOS[cell % SCENARIOS.len()], n);
-            let (verdict, outcome) = match workload {
-                "fig2" => {
-                    let (tr, outcome) = pipeline::run_fig2_faulty_pooled(
-                        &mut fig2,
-                        &pattern,
-                        &plan,
-                        ProcessId(0),
-                        ProcessId(1),
-                        seed,
-                        max_steps,
-                    );
-                    let v = check_k_set_agreement_degraded(
-                        tr,
-                        &pattern,
-                        &proposals,
-                        n - 1,
-                        outcome.reason,
-                    );
-                    (v.map_err(|e| e.to_string()), outcome)
-                }
-                "fig4" => {
-                    let active = ProcessSet::from_iter([0, 1].map(ProcessId));
-                    let (tr, outcome) = pipeline::run_fig4_faulty_pooled(
-                        &mut fig4, &pattern, &plan, active, seed, max_steps,
-                    );
-                    let v = check_k_set_agreement_degraded(
-                        tr,
-                        &pattern,
-                        &proposals,
-                        n - 1,
-                        outcome.reason,
-                    );
-                    (v.map_err(|e| e.to_string()), outcome)
-                }
-                "abd" => {
-                    let s = ProcessSet::from_iter([0, 1].map(ProcessId));
-                    let scripts = vec![
-                        vec![OpKind::Write(sih_model::Value(1)), OpKind::Read],
-                        vec![OpKind::Read, OpKind::Write(sih_model::Value(2)), OpKind::Read],
-                    ];
-                    let (tr, outcome) = pipeline::run_register_workload_faulty_pooled(
-                        &mut abd, &pattern, &plan, s, scripts, seed, max_steps,
-                    );
-                    let v = check_linearizable_degraded(
-                        &tr.op_records(),
-                        None,
-                        &pattern,
-                        outcome.reason,
-                    );
-                    (v.map_err(|e| e.to_string()), outcome)
-                }
-                other => unreachable!("workload {other}"),
-            };
-            (cell, verdict, outcome)
+            let spec =
+                RunSpec::new(algorithm, pattern.clone(), seed, max_steps).with_faults(plan, true);
+            let (tr, outcome) = pool.run(&spec);
+            (cell, degraded_verdict(&spec, tr, &outcome), outcome)
         }
     });
 
     // Fold in canonical grid order (the sweep returns results in item
     // order, and the sums are order-independent anyway).
     let mut cells: Vec<FaultCell> = Vec::new();
-    for (w, workload) in WORKLOADS.iter().enumerate() {
-        for (s, scenario) in SCENARIOS.iter().enumerate() {
+    for workload in WORKLOADS {
+        for scenario in SCENARIOS {
             let quiescence = scenario_plan(scenario, n)
                 .quiescence_time()
                 .expect("matrix scenarios all have finite quiescence")
                 .0;
-            cells.push(FaultCell {
-                workload,
-                scenario,
-                quiescence,
-                runs: 0,
-                live: 0,
-                safe_not_live: 0,
-                violations: 0,
-                steps: 0,
-                sent: 0,
-                delivered: 0,
-                dropped: 0,
-                duplicated: 0,
-                in_flight: 0,
-            });
-            let _ = (w, s);
+            cells.push(FaultCell { workload, scenario, quiescence, ..FaultCell::default() });
         }
     }
     for (cell, verdict, outcome) in samples {
@@ -396,12 +369,12 @@ pub fn run_faults_bench(cfg: &FaultsLabConfig) -> FaultsBenchReport {
     let blackout = LinkFaultPlan::builder(n).blackout(Time::ZERO, None).build();
     let s = ProcessSet::from_iter([0, 1].map(ProcessId));
     let scripts = vec![vec![OpKind::Write(sih_model::Value(1))], vec![OpKind::Read]];
-    let mut pool = pipeline::RegisterPool::with_trace_level(TraceLevel::Light);
     let budget = cfg.max_steps.max(1_000_000);
-    let (tr, outcome) = pipeline::run_register_workload_raw_faulty_pooled(
-        &mut pool, &pattern, &blackout, s, scripts, 0, budget,
-    );
-    let verdict = check_linearizable_degraded(&tr.op_records(), None, &pattern, outcome.reason);
+    let spec = RunSpec::new(Algorithm::Abd { s, scripts }, pattern.clone(), 0, budget)
+        .with_faults(blackout, false);
+    let mut pool = RunPool::with_trace_level(TraceLevel::Light);
+    let (tr, outcome) = pool.run(&spec);
+    let verdict = degraded_verdict(&spec, tr, &outcome);
     let starved = StarvedLeg {
         steps: outcome.steps,
         budget,

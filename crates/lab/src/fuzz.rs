@@ -30,7 +30,8 @@
 
 use crate::json::{ObjectBuilder, Value};
 use crate::repro::{
-    record_any, replay, replay_with_fingerprints, shrink, RecordRequest, ReplayMode, BYZ_WORKLOADS,
+    read_schedule_dir, record_any, replay, replay_with_fingerprints, shrink, RecordRequest,
+    ReplayMode, BYZ_WORKLOADS,
 };
 use sih_runtime::fuzz::{crossover, mutate, Coverage, FuzzCorpus, FuzzRng, MutOp, MutatorConfig};
 use sih_runtime::sweep::Sweep;
@@ -217,21 +218,11 @@ impl fmt::Display for FuzzBenchReport {
 /// parseable ones whose workload the fuzzer targets — extra corpus
 /// seeds for `lab fuzz --corpus`.
 pub fn load_seed_schedules(dir: &std::path::Path) -> std::io::Result<Vec<Schedule>> {
-    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "schedule"))
-        .collect();
-    files.sort();
-    let mut out = Vec::new();
-    for path in files {
-        let text = std::fs::read_to_string(&path)?;
-        if let Ok(s) = Schedule::parse(&text) {
-            if FUZZ_WORKLOADS.contains(&s.checker.as_str()) {
-                out.push(s);
-            }
-        }
-    }
-    Ok(out)
+    Ok(read_schedule_dir(dir)?
+        .iter()
+        .filter_map(|(_, text)| Schedule::parse(text).ok())
+        .filter(|s| FUZZ_WORKLOADS.contains(&s.checker.as_str()))
+        .collect())
 }
 
 /// The coverage key of one step: the workload name folded into the

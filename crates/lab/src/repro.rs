@@ -29,6 +29,7 @@
 
 use sih_agreement::{
     check_k_agreement_safety, distinct_proposals, fig2_processes, fig4_processes, Equivocator,
+    Fig2SetAgreement, Fig4SetAgreement,
 };
 use sih_detectors::{check_anti_omega, Sigma, SigmaK, SigmaS, WeakSigma, WeakSigmaK, WeakSigmaS};
 use sih_model::{
@@ -36,13 +37,17 @@ use sih_model::{
     LinkFaultPlan, OpKind, ProcessId, ProcessSet, Time, Value,
 };
 use sih_reductions::Fig6WithoutChange;
-use sih_registers::{abd_processes, check_linearizable, LinearizabilityViolation, SplitAckForger};
+use sih_registers::{
+    abd_processes, check_linearizable, AbdRegister, LinearizabilityViolation, ScriptedClient,
+    SplitAckForger,
+};
 use sih_runtime::sweep::Sweep;
 use sih_runtime::{
     shrink_schedule, Automaton, Choice, Corruptible, FairScheduler, Schedule, ScriptedScheduler,
     ShrinkOptions, ShrinkReport, Simulation,
 };
 use std::fmt;
+use std::sync::LazyLock;
 
 /// The verdict token of a run that tripped an engine or automaton panic.
 pub const PANIC_VERDICT: &str = "panic";
@@ -58,133 +63,301 @@ pub struct Workload {
     /// Whether a fresh fair-scheduler run is expected to end `ok`
     /// (sound detector) or to witness a violation (weakened twin).
     pub expect_ok: bool,
-    /// Default system size for `record`.
-    pub default_n: usize,
-    /// Default step bound for `record`.
-    pub default_steps: u64,
+    /// What a fresh `record` run uses.
+    pub defaults: Defaults,
+    /// The smallest `n` the workload's claim still covers at `k` — the
+    /// shrinker's `n`-reduction floor.
+    pub min_n: fn(usize) -> usize,
+    /// Builds the detector, automata, stop rule and verdict for a
+    /// schedule, and drives the run.
+    run: fn(&Schedule, Mode) -> Result<RunResult, ReproError>,
 }
 
-/// The workload registry. Names here are the only valid `checker:`
-/// values; `sih-analysis` cross-checks the committed corpus against this
-/// list (by source inspection — the analyzer is dependency-free).
+/// The configuration of a fresh `record` run of a workload.
+#[derive(Clone, Copy, Debug)]
+pub struct Defaults {
+    /// System size.
+    pub n: usize,
+    /// Step bound.
+    pub steps: u64,
+    /// The crash pattern at system size `n`.
+    pub pattern: fn(usize) -> FailurePattern,
+    /// The link-fault plan at system size `n`.
+    pub faults: fn(usize) -> LinkFaultPlan,
+    /// The adversary configuration — mutation plan, scripted attack,
+    /// armor — at system size `n`. `None` marks an honest workload,
+    /// whose reconstruction rejects a non-default adversary plan, attack
+    /// or armor rung instead of silently ignoring it.
+    pub adversary: Option<fn(usize) -> AdversaryConfig>,
+}
+
+/// A mutation plan, scripted attack and armor rung.
+pub type AdversaryConfig = (AdversaryPlan, Option<AttackSpec>, Armor);
+
+/// An honest workload's record defaults at `n = 3`: no crashes, reliable
+/// links, no adversary.
+const HONEST: Defaults = Defaults {
+    n: 3,
+    steps: 4_000,
+    pattern: FailurePattern::all_correct,
+    faults: LinkFaultPlan::reliable,
+    adversary: None,
+};
+
+/// The register workloads' record defaults.
+const ABD: Defaults = Defaults { n: 4, steps: 6_000, ..HONEST };
+
+const P0: ProcessId = ProcessId(0);
+const P1: ProcessId = ProcessId(1);
+
+/// The workload registry: its names are the only valid `checker:`
+/// values. `sih-analysis` reads them from this table's `name` lines to
+/// validate the committed corpus.
 pub const WORKLOADS: &[Workload] = &[
     Workload {
         name: "fig2-sigma",
         summary: "Fig. 2 (n-1)-set agreement from sound σ (R1, holds)",
         expect_ok: true,
-        default_n: 3,
-        default_steps: 4_000,
+        defaults: HONEST,
+        min_n: |_| 2,
+        run: |s, m| {
+            let fd = Sigma::new(P0, P1, &s.pattern, s.seed);
+            drive(s, m, fig2(s), &fd, |_| false, agreement(s.n, s.n - 1))
+        },
     },
     Workload {
         name: "fig2-weak-sigma",
         summary: "Fig. 2 under σ with intersection disabled (R1 negative witness)",
         expect_ok: false,
-        default_n: 3,
-        default_steps: 4_000,
+        defaults: HONEST,
+        min_n: |_| 2,
+        run: |s, m| {
+            let fd = WeakSigma::new(P0, P1);
+            drive(s, m, fig2(s), &fd, |_| false, agreement(s.n, s.n - 1))
+        },
     },
     Workload {
         name: "fig4-sigma-k",
         summary: "Fig. 4 (n-k)-set agreement from sound σ_2k (R4, holds)",
         expect_ok: true,
-        default_n: 4,
-        default_steps: 4_000,
+        defaults: Defaults { n: 4, ..HONEST },
+        min_n: |k| (2 * k).max(2),
+        run: |s, m| {
+            let (procs, active) = fig4(s)?;
+            let fd = SigmaK::new(active, &s.pattern, s.seed);
+            drive(s, m, procs, &fd, |_| false, agreement(s.n, s.n - s.k))
+        },
     },
     Workload {
         name: "fig4-weak-sigma-k",
         summary: "Fig. 4 under σ_2k with intersection disabled (R4 negative witness)",
         expect_ok: false,
-        default_n: 4,
-        default_steps: 4_000,
+        defaults: Defaults { n: 4, ..HONEST },
+        min_n: |k| (2 * k).max(2),
+        run: |s, m| {
+            let (procs, active) = fig4(s)?;
+            let fd = WeakSigmaK::new(active);
+            drive(s, m, procs, &fd, |_| false, agreement(s.n, s.n - s.k))
+        },
     },
     Workload {
         name: "abd-sigma-s",
         summary: "ABD register in S from sound Σ_S (Prop. 1 route, holds)",
         expect_ok: true,
-        default_n: 4,
-        default_steps: 6_000,
+        defaults: ABD,
+        min_n: |_| 2,
+        run: |s, m| {
+            let fd = SigmaS::new(clients(), &s.pattern, s.seed);
+            drive(s, m, abd(s, one_writer()), &fd, clients_done, linearizability)
+        },
     },
     Workload {
         name: "abd-weak-quorum",
         summary: "ABD register with quorum intersection disabled (stale read)",
         expect_ok: false,
-        default_n: 4,
-        default_steps: 6_000,
+        // The planted quorum violation: p0's writeback traffic never
+        // reaches the other replicas, so a singleton-quorum read at p1
+        // is guaranteed stale (with sound Σ_S the write could not have
+        // completed without a real quorum, so this plan is harmless to
+        // the sound twin).
+        defaults: Defaults {
+            faults: |n| {
+                let mut b = LinkFaultPlan::builder(n);
+                for q in 1..n as u32 {
+                    b = b.drop_link(P0, ProcessId(q), Time::ZERO, None);
+                }
+                b.build()
+            },
+            ..ABD
+        },
+        min_n: |_| 2,
+        run: |s, m| {
+            let fd = WeakSigmaS::new(clients());
+            drive(s, m, abd(s, one_writer()), &fd, clients_done, linearizability)
+        },
     },
     Workload {
         name: "fig6-without-change",
         summary: "Fig. 6 minus the CHANGE handshake: anti-Ω breaks (R10 witness)",
         expect_ok: false,
-        default_n: 4,
-        default_steps: 60_000,
+        // Fig. 6's crossed pair needs the non-actives to announce and
+        // crash; σ then stabilizes to {p0} at p0.
+        defaults: Defaults {
+            n: 4,
+            steps: 60_000,
+            pattern: |n| match n {
+                0..=3 => FailurePattern::all_correct(n),
+                _ => FailurePattern::builder(n)
+                    .crash_at(ProcessId(2), Time(40))
+                    .crash_at(ProcessId(3), Time(40))
+                    .build(),
+            },
+            ..HONEST
+        },
+        min_n: |_| 2,
+        run: |s, m| {
+            let procs = (0..s.n).map(|_| Fig6WithoutChange::new(s.n)).collect();
+            let fd = Sigma::new(P0, P1, &s.pattern, s.seed);
+            // Recording stops once the crossed leader pair has formed —
+            // the stable state that violates anti-Ω's finiteness.
+            let crossed = |sim: &Simulation<Fig6WithoutChange>| {
+                let h = sim.trace().emulated_history();
+                h.timeline(P0).final_output() == FdOutput::Leader(P1)
+                    && h.timeline(P1).final_output() == FdOutput::Leader(P0)
+            };
+            let verdict = |sim: &Simulation<Fig6WithoutChange>| match check_anti_omega(
+                sim.trace().emulated_history(),
+                &s.pattern,
+            ) {
+                Ok(()) => "ok".to_string(),
+                Err(v) => format!("violation:{}", v.property),
+            };
+            drive(s, m, procs, &fd, crossed, verdict)
+        },
     },
     Workload {
         name: "fig2-byz-perturb",
         summary: "Fig. 2 under a value-perturbing network adversary (validity attack)",
         expect_ok: false,
-        default_n: 3,
-        default_steps: 4_000,
+        // Perturbing p0's traffic to p1 injects a never-proposed value
+        // into the decision flood: a validity violation at p1.
+        defaults: Defaults { adversary: Some(perturb_p0_p1), ..HONEST },
+        min_n: |_| 2,
+        run: |s, m| {
+            let fd = Sigma::new(P0, P1, &s.pattern, s.seed);
+            drive(s, m, equivocators(s), &fd, |_| false, agreement(s.n, s.n - 1))
+        },
     },
     Workload {
         name: "fig2-byz-equivocate",
         summary: "Fig. 2 with p0 equivocating per recipient (agreement/validity attack)",
         expect_ok: false,
-        default_n: 3,
-        default_steps: 4_000,
+        // p0 tells odd peers the story `x = 99`: a decision flood with a
+        // value nobody proposed.
+        defaults: Defaults {
+            adversary: Some(|n| {
+                let attack = AttackSpec { kind: AttackKind::Equivocate, x: 99 };
+                (AdversaryPlan::honest(n), Some(attack), Armor::NONE)
+            }),
+            ..HONEST
+        },
+        min_n: |_| 2,
+        run: |s, m| {
+            let fd = Sigma::new(P0, P1, &s.pattern, s.seed);
+            drive(s, m, equivocators(s), &fd, |_| false, agreement(s.n, s.n - 1))
+        },
     },
     Workload {
         name: "fig4-byz-perturb",
         summary: "Fig. 4 under a value-perturbing network adversary (validity attack)",
         expect_ok: false,
-        default_n: 4,
-        default_steps: 4_000,
+        defaults: Defaults { n: 4, adversary: Some(perturb_p0_p1), ..HONEST },
+        min_n: |_| 2,
+        run: |s, m| {
+            let (procs, active) = fig4(s)?;
+            let fd = SigmaK::new(active, &s.pattern, s.seed);
+            drive(s, m, procs, &fd, |_| false, agreement(s.n, s.n - s.k))
+        },
     },
     Workload {
         name: "abd-byz-perturb",
         summary: "ABD under timestamp-perturbing links (write order scrambled)",
         expect_ok: false,
-        default_n: 4,
-        default_steps: 6_000,
+        // Timestamp perturbation on every link scrambles the apparent
+        // order of the two writes; some seed's read observes the flip.
+        defaults: Defaults {
+            adversary: Some(|n| {
+                let mut b = AdversaryPlan::builder(n);
+                for src in 0..n as u32 {
+                    for dst in (0..n as u32).filter(|&dst| dst != src) {
+                        b = b.perturb(ProcessId(src), ProcessId(dst), 100, Time::ZERO, None);
+                    }
+                }
+                (b.build(), None, Armor::NONE)
+            }),
+            ..ABD
+        },
+        min_n: |_| 2,
+        run: |s, m| {
+            // Two writers: perturbed timestamps can flip the apparent
+            // write order, which a single-writer script never exposes.
+            let scripts = vec![
+                vec![OpKind::Write(Value(1)), OpKind::Read],
+                vec![OpKind::Read, OpKind::Write(Value(2)), OpKind::Read],
+            ];
+            let fd = SigmaS::new(clients(), &s.pattern, s.seed);
+            drive(s, m, forgers(s, scripts), &fd, clients_done, linearizability)
+        },
     },
     Workload {
         name: "abd-byz-forge-ack",
         summary: "ABD under fabricated quorum acks in flight (stale-future read)",
         expect_ok: false,
-        default_n: 4,
-        default_steps: 6_000,
+        // A fabricated quorum ack from the last replica to the reader
+        // carries a future timestamp; its value wins the read's max.
+        defaults: Defaults {
+            adversary: Some(|n| {
+                let last = ProcessId(n as u32 - 1);
+                let plan = AdversaryPlan::builder(n).forge_ack(last, P1, 77, Time::ZERO, None);
+                (plan.build(), None, Armor::NONE)
+            }),
+            ..ABD
+        },
+        min_n: |_| 2,
+        run: |s, m| {
+            let fd = SigmaS::new(clients(), &s.pattern, s.seed);
+            drive(s, m, forgers(s, one_writer()), &fd, clients_done, linearizability)
+        },
     },
     Workload {
         name: "abd-byz-split-ack",
         summary: "ABD with one replica forging split acks per client (atomicity attack)",
         expect_ok: false,
-        default_n: 4,
-        default_steps: 6_000,
+        // The last replica answers odd clients with an invented view.
+        defaults: Defaults {
+            adversary: Some(|n| {
+                let attack = AttackSpec { kind: AttackKind::SplitAck, x: 55 };
+                (AdversaryPlan::honest(n), Some(attack), Armor::NONE)
+            }),
+            ..ABD
+        },
+        min_n: |_| 2,
+        run: |s, m| {
+            let fd = SigmaS::new(clients(), &s.pattern, s.seed);
+            drive(s, m, forgers(s, one_writer()), &fd, clients_done, linearizability)
+        },
     },
 ];
 
 /// The workloads whose reconstruction honors the schedule's adversary
-/// fields. Every other workload rejects a non-default adversary plan,
-/// attack or armor rung instead of silently ignoring it.
-pub const BYZ_WORKLOADS: &[&str] = &[
-    "fig2-byz-perturb",
-    "fig2-byz-equivocate",
-    "fig4-byz-perturb",
-    "abd-byz-perturb",
-    "abd-byz-forge-ack",
-    "abd-byz-split-ack",
-];
+/// fields (those with a default adversary configuration).
+pub static BYZ_WORKLOADS: LazyLock<Vec<&'static str>> = LazyLock::new(|| {
+    WORKLOADS.iter().filter(|w| w.defaults.adversary.is_some()).map(|w| w.name).collect()
+});
 
 /// Looks up a workload by name.
 pub fn workload(name: &str) -> Option<&'static Workload> {
     WORKLOADS.iter().find(|w| w.name == name)
-}
-
-/// The smallest `n` the workload's claim still covers — the shrinker's
-/// `n`-reduction floor.
-pub fn min_n(name: &str, k: usize) -> usize {
-    match name {
-        "fig4-sigma-k" | "fig4-weak-sigma-k" => (2 * k).max(2),
-        _ => 2,
-    }
 }
 
 /// Errors of the repro harness (schedule *parse* errors are
@@ -214,26 +387,25 @@ impl fmt::Display for ReproError {
 
 impl std::error::Error for ReproError {}
 
-/// How a workload run is driven.
-enum Driver<'a> {
-    /// A fresh recording run under [`FairScheduler`].
-    Fair { seed: u64, max_steps: u64 },
-    /// Exact strict replay of a script.
-    Strict { choices: &'a [Choice] },
-    /// Lenient replay: skip choices illegal in the (mutated) run.
-    Lenient { choices: &'a [Choice] },
-    /// Replay (strict or lenient semantics) that additionally records
-    /// the per-step state fingerprint after every executed step — the
-    /// schedule fuzzer's coverage probe.
-    Coverage { choices: &'a [Choice], strict: bool },
+/// How a workload run is driven through the schedule's choices.
+#[derive(Clone, Copy, Debug)]
+enum Mode {
+    /// A fresh recording run under [`FairScheduler`] (the schedule's
+    /// `seed` and `max_steps`; its choices are ignored).
+    Fair,
+    /// Strict (exact) or lenient (skip illegal choices) replay.
+    Replay(ReplayMode),
+    /// Replay that additionally records the per-step state fingerprint
+    /// after every executed step — the schedule fuzzer's coverage probe.
+    Coverage(ReplayMode),
 }
 
 /// What a driven run produced.
 struct RunResult {
     verdict: String,
     executed: Vec<Choice>,
-    /// Per-step state fingerprints (only [`Driver::Coverage`] fills
-    /// this; empty otherwise).
+    /// Per-step state fingerprints (only [`Mode::Coverage`] fills this;
+    /// empty otherwise).
     fingerprints: Vec<u64>,
 }
 
@@ -263,89 +435,48 @@ pub(crate) fn quiet_catch<T>(f: impl FnOnce() -> T) -> Result<T, ()> {
     r.map_err(|_| ())
 }
 
-// ---- the generic driver -------------------------------------------------
+// ---- the driver ---------------------------------------------------------
 
-/// Builds the simulation, drives it per `driver`, and computes the
-/// verdict. Panics anywhere in the stepped region (illegal strict choice,
+/// Builds the simulation, installs the schedule's link faults and (unless
+/// honest) its adversary, drives it per `mode`, and computes the verdict.
+/// Panics anywhere in the stepped region (illegal strict choice,
 /// automaton `expect`, checker assertion) become [`PANIC_VERDICT`]; the
 /// executed script is still meaningful because the engine records each
 /// choice *before* stepping the automaton.
 fn drive<A, D>(
+    s: &Schedule,
+    mode: Mode,
     procs: Vec<A>,
-    pattern: &FailurePattern,
-    faults: &LinkFaultPlan,
     fd: &D,
-    driver: &Driver<'_>,
-    done: impl FnMut(&Simulation<A>) -> bool,
+    mut done: impl FnMut(&Simulation<A>) -> bool,
     verdict: impl FnOnce(&Simulation<A>) -> String,
-) -> RunResult
-where
-    A: Automaton + fmt::Debug,
-    D: FailureDetector + ?Sized,
-{
-    let mut sim = Simulation::new(procs, pattern.clone());
-    if !faults.is_reliable() {
-        sim.set_link_faults(faults.clone());
-    }
-    finish(sim, fd, driver, done, verdict)
-}
-
-/// [`drive`] with the schedule's mutation adversary installed — the
-/// byzantine workloads' variant (their message types carry the
-/// [`Corruptible`] mutation algebra; the honest workloads' need not).
-#[allow(clippy::too_many_arguments)]
-fn drive_byz<A, D>(
-    procs: Vec<A>,
-    pattern: &FailurePattern,
-    faults: &LinkFaultPlan,
-    adversary: &AdversaryPlan,
-    armor: Armor,
-    fd: &D,
-    driver: &Driver<'_>,
-    done: impl FnMut(&Simulation<A>) -> bool,
-    verdict: impl FnOnce(&Simulation<A>) -> String,
-) -> RunResult
+) -> Result<RunResult, ReproError>
 where
     A: Automaton + fmt::Debug,
     A::Msg: Corruptible,
-    D: FailureDetector + ?Sized,
+    D: FailureDetector,
 {
-    let mut sim = Simulation::new(procs, pattern.clone());
-    if !faults.is_reliable() {
-        sim.set_link_faults(faults.clone());
+    let mut sim = Simulation::new(procs, s.pattern.clone());
+    if !s.faults.is_reliable() {
+        sim.set_link_faults(s.faults.clone());
     }
-    if !adversary.is_honest() {
-        sim.set_adversary(adversary.clone(), armor);
+    if !s.adversary.is_honest() {
+        sim.set_adversary(s.adversary.clone(), s.armor);
     }
-    finish(sim, fd, driver, done, verdict)
-}
-
-/// The shared driving tail: steps `sim` per `driver` under quiet panic
-/// capture and computes the verdict.
-fn finish<A, D>(
-    mut sim: Simulation<A>,
-    fd: &D,
-    driver: &Driver<'_>,
-    mut done: impl FnMut(&Simulation<A>) -> bool,
-    verdict: impl FnOnce(&Simulation<A>) -> String,
-) -> RunResult
-where
-    A: Automaton + fmt::Debug,
-    D: FailureDetector + ?Sized,
-{
+    let choices = &s.choices;
     let mut fps: Vec<u64> = Vec::new();
     let stepped = quiet_catch(std::panic::AssertUnwindSafe(|| {
-        match driver {
-            Driver::Fair { seed, max_steps } => {
-                let mut sched = FairScheduler::new(*seed);
-                sim.run_until(&mut sched, fd, *max_steps, |s| done(s));
+        match mode {
+            Mode::Fair => {
+                let mut sched = FairScheduler::new(s.seed);
+                sim.run_until(&mut sched, fd, s.max_steps, |s| done(s));
             }
-            Driver::Strict { choices } => {
+            Mode::Replay(ReplayMode::Strict) => {
                 let mut sched = ScriptedScheduler::new(choices.iter().copied()).strict();
                 sim.run(&mut sched, fd, choices.len() as u64);
             }
-            Driver::Lenient { choices } => {
-                for &c in choices.iter() {
+            Mode::Replay(ReplayMode::Lenient) => {
+                for &c in choices {
                     let legal = sim.schedulable_set().contains(c.p)
                         && c.deliver.is_none_or(|i| i < sim.network().pending_count(c.p));
                     if legal {
@@ -353,41 +484,40 @@ where
                     }
                 }
             }
-            Driver::Coverage { choices, strict } => {
-                if *strict {
-                    // Exactly the strict trajectory, one engine-checked
-                    // step at a time: each `run` call re-evaluates the
-                    // halt/starvation stops before stepping, so the
-                    // fingerprint stream follows the same path (and
-                    // panics in the same places) as `Driver::Strict`.
-                    let mut sched = ScriptedScheduler::new(choices.iter().copied()).strict();
-                    loop {
-                        let before = sim.now();
-                        sim.run(&mut sched, fd, 1);
-                        if sim.now() == before {
-                            break; // no step taken: halted, starved or exhausted
-                        }
-                        fps.push(sim.fingerprint());
+            Mode::Coverage(ReplayMode::Strict) => {
+                // Exactly the strict trajectory, one engine-checked step
+                // at a time: each `run` call re-evaluates the
+                // halt/starvation stops before stepping, so the
+                // fingerprint stream follows the same path (and panics in
+                // the same places) as strict replay.
+                let mut sched = ScriptedScheduler::new(choices.iter().copied()).strict();
+                loop {
+                    let before = sim.now();
+                    sim.run(&mut sched, fd, 1);
+                    if sim.now() == before {
+                        break; // no step taken: halted, starved or exhausted
                     }
-                } else {
-                    // Lenient legality, but with the engine's halt and
-                    // starvation stops mirrored: plain lenient replay
-                    // happily executes legal no-op steps past the point
-                    // where every strict runner would have stopped, and
-                    // such trailing steps make the executed script
-                    // non-strict-replayable. Cutting at the same stops
-                    // keeps the canonical form (executed script +
-                    // observed verdict) a strict-replaying schedule.
-                    for &c in choices.iter() {
-                        if sim.all_correct_halted() || sim.sched_state().starved() {
-                            break;
-                        }
-                        let legal = sim.schedulable_set().contains(c.p)
-                            && c.deliver.is_none_or(|i| i < sim.network().pending_count(c.p));
-                        if legal {
-                            sim.step(c, fd);
-                            fps.push(sim.fingerprint());
-                        }
+                    fps.push(sim.fingerprint());
+                }
+            }
+            Mode::Coverage(ReplayMode::Lenient) => {
+                // Lenient legality, but with the engine's halt and
+                // starvation stops mirrored: plain lenient replay happily
+                // executes legal no-op steps past the point where every
+                // strict runner would have stopped, and such trailing
+                // steps make the executed script non-strict-replayable.
+                // Cutting at the same stops keeps the canonical form
+                // (executed script + observed verdict) a strict-replaying
+                // schedule.
+                for &c in choices {
+                    if sim.all_correct_halted() || sim.sched_state().starved() {
+                        break;
+                    }
+                    let legal = sim.schedulable_set().contains(c.p)
+                        && c.deliver.is_none_or(|i| i < sim.network().pending_count(c.p));
+                    if legal {
+                        sim.step(c, fd);
+                        fps.push(sim.fingerprint());
                     }
                 }
             }
@@ -397,17 +527,18 @@ where
         Ok(()) => verdict(&sim),
         Err(()) => PANIC_VERDICT.to_string(),
     };
-    RunResult { verdict, executed: sim.script().to_vec(), fingerprints: fps }
+    Ok(RunResult { verdict, executed: sim.script().to_vec(), fingerprints: fps })
 }
 
-fn agreement_verdict<A: Automaton>(sim: &Simulation<A>, n: usize, k: usize) -> String {
-    match check_k_agreement_safety(sim.trace(), &distinct_proposals(n), k) {
+/// The `k`-agreement safety verdict over `n` distinct proposals.
+fn agreement<A: Automaton>(n: usize, k: usize) -> impl FnOnce(&Simulation<A>) -> String {
+    move |sim| match check_k_agreement_safety(sim.trace(), &distinct_proposals(n), k) {
         Ok(()) => "ok".to_string(),
         Err(v) => format!("violation:{}", v.property),
     }
 }
 
-fn linearizability_verdict<A: Automaton>(sim: &Simulation<A>) -> String {
+fn linearizability<A: Automaton>(sim: &Simulation<A>) -> String {
     match check_linearizable(&sim.trace().op_records(), None) {
         Ok(()) => "ok".to_string(),
         Err(LinearizabilityViolation::NotLinearizable { .. }) => {
@@ -420,278 +551,99 @@ fn linearizability_verdict<A: Automaton>(sim: &Simulation<A>) -> String {
     }
 }
 
-fn anti_omega_verdict<A: Automaton>(sim: &Simulation<A>, pattern: &FailurePattern) -> String {
-    match check_anti_omega(sim.trace().emulated_history(), pattern) {
-        Ok(()) => "ok".to_string(),
-        Err(v) => format!("violation:{}", v.property),
+fn fig2(s: &Schedule) -> Vec<Fig2SetAgreement> {
+    fig2_processes(&distinct_proposals(s.n))
+}
+
+/// Figure 4's automata and its `2k` active processes.
+fn fig4(s: &Schedule) -> Result<(Vec<Fig4SetAgreement>, ProcessSet), ReproError> {
+    if s.k < 1 || 2 * s.k > s.n {
+        return Err(ReproError::BadParams(format!(
+            "fig4 needs 1 <= k and 2k <= n, got k={}, n={}",
+            s.k, s.n
+        )));
     }
+    Ok((fig4_processes(&distinct_proposals(s.n)), (0..2 * s.k as u32).map(ProcessId).collect()))
+}
+
+/// Figure 2 with every process wrapped so the system type is uniform;
+/// p0 is the equivocator iff the schedule carries the attack (the
+/// shrinker may have dropped it).
+fn equivocators(s: &Schedule) -> Vec<Equivocator<Fig2SetAgreement>> {
+    let on = matches!(s.attack, Some(AttackSpec { kind: AttackKind::Equivocate, .. }));
+    let x = s.attack.map_or(0, |a| a.x);
+    fig2(s)
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| Equivocator::new(p, on && i == 0, x, s.armor))
+        .collect()
+}
+
+/// The register's clients `S = {p0, p1}`.
+fn clients() -> ProcessSet {
+    ProcessSet::from_iter([P0, P1])
 }
 
 /// The fixed register workload: `p0` writes once, `p1` reads repeatedly
 /// (long enough that late reads start after the write returned).
-fn abd_scripts() -> (ProcessSet, Vec<Vec<OpKind>>) {
-    let s: ProcessSet = [ProcessId(0), ProcessId(1)].into_iter().collect();
-    let scripts = vec![vec![OpKind::Write(Value(7))], vec![OpKind::Read; 6]];
-    (s, scripts)
+fn one_writer() -> Vec<Vec<OpKind>> {
+    vec![vec![OpKind::Write(Value(7))], vec![OpKind::Read; 6]]
 }
 
-/// The two-writer register workload used by the tamper-class Byzantine
-/// witnesses: perturbing timestamps can flip the apparent write order,
-/// which a single-writer script could never expose.
-fn byz_abd_scripts() -> (ProcessSet, Vec<Vec<OpKind>>) {
-    let s: ProcessSet = [ProcessId(0), ProcessId(1)].into_iter().collect();
-    let scripts = vec![
-        vec![OpKind::Write(Value(1)), OpKind::Read],
-        vec![OpKind::Read, OpKind::Write(Value(2)), OpKind::Read],
-    ];
-    (s, scripts)
+fn abd(s: &Schedule, scripts: Vec<Vec<OpKind>>) -> Vec<AbdRegister> {
+    abd_processes(clients(), s.n, scripts)
 }
 
-fn first_ids(count: usize) -> ProcessSet {
-    (0..count as u32).map(ProcessId).collect()
+/// ABD with every replica wrapped; the last one (never a client) forges
+/// split acks iff the schedule carries the attack.
+fn forgers(s: &Schedule, scripts: Vec<Vec<OpKind>>) -> Vec<SplitAckForger> {
+    let on = matches!(s.attack, Some(AttackSpec { kind: AttackKind::SplitAck, .. }));
+    let x = s.attack.map_or(0, |a| a.x);
+    abd(s, scripts)
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| SplitAckForger::new(p, on && i == s.n - 1, x, s.armor))
+        .collect()
 }
 
-/// Reconstructs the named workload and drives it. Everything a schedule
-/// records — `n`, `k`, `seed`, pattern, faults, adversary plan, attack,
-/// armor — plus a driver fully determines the run.
-#[allow(clippy::too_many_arguments)]
-fn run_workload(
-    name: &str,
-    n: usize,
-    k: usize,
-    seed: u64,
-    pattern: &FailurePattern,
-    faults: &LinkFaultPlan,
-    adversary: &AdversaryPlan,
-    attack: Option<AttackSpec>,
-    armor: Armor,
-    driver: &Driver<'_>,
-) -> Result<RunResult, ReproError> {
-    if pattern.n() != n || faults.n() != n || adversary.n() != n {
+/// A register emulation never halts; a recording run is done once both
+/// clients drained their scripts.
+fn clients_done<A: Automaton + ScriptedClient>(sim: &Simulation<A>) -> bool {
+    clients().iter().all(|p| sim.process(p).script_finished())
+}
+
+/// Perturbing p0's traffic to p1 by `x = 100`.
+fn perturb_p0_p1(n: usize) -> AdversaryConfig {
+    let plan = AdversaryPlan::builder(n).perturb(P0, P1, 100, Time::ZERO, None).build();
+    (plan, None, Armor::NONE)
+}
+
+/// Reconstructs the schedule's workload and drives it. Everything a
+/// schedule records — `n`, `k`, `seed`, pattern, faults, adversary plan,
+/// attack, armor — plus the mode fully determines the run.
+fn run_workload(s: &Schedule, mode: Mode) -> Result<RunResult, ReproError> {
+    let w = workload(&s.checker).ok_or_else(|| ReproError::UnknownWorkload(s.checker.clone()))?;
+    if s.pattern.n() != s.n || s.faults.n() != s.n || s.adversary.n() != s.n {
         return Err(ReproError::BadParams(format!(
-            "n mismatch: n={n}, pattern over {}, faults over {}, adversary over {}",
-            pattern.n(),
-            faults.n(),
-            adversary.n()
+            "n mismatch: n={}, pattern over {}, faults over {}, adversary over {}",
+            s.n,
+            s.pattern.n(),
+            s.faults.n(),
+            s.adversary.n()
         )));
     }
-    if !BYZ_WORKLOADS.contains(&name)
-        && (!adversary.is_honest() || attack.is_some() || armor != Armor::NONE)
+    if s.n < 2 {
+        return Err(ReproError::BadParams(format!("{} needs n >= 2, got {}", w.name, s.n)));
+    }
+    if w.defaults.adversary.is_none()
+        && (!s.adversary.is_honest() || s.attack.is_some() || s.armor != Armor::NONE)
     {
         return Err(ReproError::BadParams(format!(
-            "workload `{name}` does not honor adversary fields; only {BYZ_WORKLOADS:?} do"
+            "workload `{}` does not honor adversary fields; only {:?} do",
+            w.name, *BYZ_WORKLOADS
         )));
     }
-    match name {
-        "fig2-sigma" | "fig2-weak-sigma" => {
-            if n < 2 {
-                return Err(ReproError::BadParams(format!("fig2 needs n >= 2, got {n}")));
-            }
-            let procs = fig2_processes(&distinct_proposals(n));
-            let verdict = |sim: &Simulation<_>| agreement_verdict(sim, n, n - 1);
-            if name == "fig2-sigma" {
-                let fd = Sigma::new(ProcessId(0), ProcessId(1), pattern, seed);
-                Ok(drive(procs, pattern, faults, &fd, driver, |_| false, verdict))
-            } else {
-                let fd = WeakSigma::new(ProcessId(0), ProcessId(1));
-                Ok(drive(procs, pattern, faults, &fd, driver, |_| false, verdict))
-            }
-        }
-        "fig4-sigma-k" | "fig4-weak-sigma-k" => {
-            if k < 1 || 2 * k > n {
-                return Err(ReproError::BadParams(format!(
-                    "fig4 needs 1 <= k and 2k <= n, got k={k}, n={n}"
-                )));
-            }
-            let active = first_ids(2 * k);
-            let procs = fig4_processes(&distinct_proposals(n));
-            let verdict = move |sim: &Simulation<_>| agreement_verdict(sim, n, n - k);
-            if name == "fig4-sigma-k" {
-                let fd = SigmaK::new(active, pattern, seed);
-                Ok(drive(procs, pattern, faults, &fd, driver, |_| false, verdict))
-            } else {
-                let fd = WeakSigmaK::new(active);
-                Ok(drive(procs, pattern, faults, &fd, driver, |_| false, verdict))
-            }
-        }
-        "abd-sigma-s" | "abd-weak-quorum" => {
-            if n < 2 {
-                return Err(ReproError::BadParams(format!("abd needs n >= 2, got {n}")));
-            }
-            let (s, scripts) = abd_scripts();
-            let procs = abd_processes(s, n, scripts);
-            // A register emulation never halts; a recording run is done
-            // once both clients drained their scripts.
-            let done = move |sim: &Simulation<sih_registers::AbdRegister>| {
-                s.iter().all(|p| sim.process(p).script_finished())
-            };
-            let verdict = |sim: &Simulation<_>| linearizability_verdict(sim);
-            if name == "abd-sigma-s" {
-                let fd = SigmaS::new(s, pattern, seed);
-                Ok(drive(procs, pattern, faults, &fd, driver, done, verdict))
-            } else {
-                let fd = WeakSigmaS::new(s);
-                Ok(drive(procs, pattern, faults, &fd, driver, done, verdict))
-            }
-        }
-        "fig2-byz-perturb" | "fig2-byz-equivocate" => {
-            if n < 2 {
-                return Err(ReproError::BadParams(format!("fig2 needs n >= 2, got {n}")));
-            }
-            // All processes wrapped so the system type is uniform; p0 is
-            // the equivocator iff the schedule carries the attack (the
-            // shrinker may have dropped it).
-            let equivocating =
-                matches!(attack, Some(AttackSpec { kind: AttackKind::Equivocate, .. }));
-            let x = attack.map(|a| a.x).unwrap_or(0);
-            let procs: Vec<_> = fig2_processes(&distinct_proposals(n))
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| Equivocator::new(p, equivocating && i == 0, x, armor))
-                .collect();
-            let fd = Sigma::new(ProcessId(0), ProcessId(1), pattern, seed);
-            let verdict = |sim: &Simulation<_>| agreement_verdict(sim, n, n - 1);
-            Ok(drive_byz(procs, pattern, faults, adversary, armor, &fd, driver, |_| false, verdict))
-        }
-        "fig4-byz-perturb" => {
-            if k < 1 || 2 * k > n {
-                return Err(ReproError::BadParams(format!(
-                    "fig4 needs 1 <= k and 2k <= n, got k={k}, n={n}"
-                )));
-            }
-            let active = first_ids(2 * k);
-            let procs = fig4_processes(&distinct_proposals(n));
-            let fd = SigmaK::new(active, pattern, seed);
-            let verdict = move |sim: &Simulation<_>| agreement_verdict(sim, n, n - k);
-            Ok(drive_byz(procs, pattern, faults, adversary, armor, &fd, driver, |_| false, verdict))
-        }
-        "abd-byz-perturb" | "abd-byz-forge-ack" | "abd-byz-split-ack" => {
-            if n < 2 {
-                return Err(ReproError::BadParams(format!("abd needs n >= 2, got {n}")));
-            }
-            let (s, scripts) =
-                if name == "abd-byz-perturb" { byz_abd_scripts() } else { abd_scripts() };
-            let forging = matches!(attack, Some(AttackSpec { kind: AttackKind::SplitAck, .. }));
-            let x = attack.map(|a| a.x).unwrap_or(0);
-            // The forger is the last replica — never one of the clients.
-            let attacker = n - 1;
-            let procs: Vec<_> = abd_processes(s, n, scripts)
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| SplitAckForger::new(p, forging && i == attacker, x, armor))
-                .collect();
-            let done = move |sim: &Simulation<SplitAckForger>| {
-                s.iter().all(|p| sim.process(p).inner().script_finished())
-            };
-            let fd = SigmaS::new(s, pattern, seed);
-            let verdict = |sim: &Simulation<_>| linearizability_verdict(sim);
-            Ok(drive_byz(procs, pattern, faults, adversary, armor, &fd, driver, done, verdict))
-        }
-        "fig6-without-change" => {
-            if n < 2 {
-                return Err(ReproError::BadParams(format!("fig6 needs n >= 2, got {n}")));
-            }
-            let procs = (0..n).map(|_| Fig6WithoutChange::new(n)).collect();
-            let fd = Sigma::new(ProcessId(0), ProcessId(1), pattern, seed);
-            // Recording stops once the crossed leader pair has formed —
-            // the stable state that violates anti-Ω's finiteness.
-            let done = |sim: &Simulation<_>| {
-                let h = sim.trace().emulated_history();
-                h.timeline(ProcessId(0)).final_output() == FdOutput::Leader(ProcessId(1))
-                    && h.timeline(ProcessId(1)).final_output() == FdOutput::Leader(ProcessId(0))
-            };
-            let verdict = |sim: &Simulation<_>| anti_omega_verdict(sim, pattern);
-            Ok(drive(procs, pattern, faults, &fd, driver, done, verdict))
-        }
-        other => Err(ReproError::UnknownWorkload(other.to_string())),
-    }
-}
-
-/// The crash pattern a fresh `record` run of the workload uses.
-pub fn default_pattern(name: &str, n: usize) -> FailurePattern {
-    match name {
-        // Fig. 6's crossed pair needs the non-actives to announce and
-        // crash; σ then stabilizes to {p0} at p0.
-        "fig6-without-change" if n >= 4 => FailurePattern::builder(n)
-            .crash_at(ProcessId(2), Time(40))
-            .crash_at(ProcessId(3), Time(40))
-            .build(),
-        _ => FailurePattern::all_correct(n),
-    }
-}
-
-/// The link-fault plan a fresh `record` run of the workload uses.
-pub fn default_faults(name: &str, n: usize) -> LinkFaultPlan {
-    match name {
-        // The planted quorum violation: p0's writeback traffic never
-        // reaches the other replicas, so a singleton-quorum read at p1 is
-        // guaranteed stale (with sound Σ_S the write could not have
-        // completed without a real quorum, so this plan is harmless to
-        // the sound twin).
-        "abd-weak-quorum" => {
-            let mut b = LinkFaultPlan::builder(n);
-            for q in 1..n as u32 {
-                b = b.drop_link(ProcessId(0), ProcessId(q), Time::ZERO, None);
-            }
-            b.build()
-        }
-        _ => LinkFaultPlan::reliable(n),
-    }
-}
-
-/// The adversary configuration — mutation plan, scripted attack, armor —
-/// a fresh `record` run of the workload uses. Honest workloads get the
-/// honest plan; the byzantine workloads get their canonical attack at
-/// armor rung 0, so the violation they exist to witness actually lands.
-pub fn default_adversary(name: &str, n: usize) -> (AdversaryPlan, Option<AttackSpec>, Armor) {
-    let honest = (AdversaryPlan::honest(n), None, Armor::NONE);
-    match name {
-        // Perturbing p0's traffic to p1 injects a never-proposed value
-        // into the decision flood: a validity violation at p1.
-        "fig2-byz-perturb" | "fig4-byz-perturb" => (
-            AdversaryPlan::builder(n)
-                .perturb(ProcessId(0), ProcessId(1), 100, Time::ZERO, None)
-                .build(),
-            None,
-            Armor::NONE,
-        ),
-        // p0 tells odd peers the story `x = 99`: a decision flood with a
-        // value nobody proposed.
-        "fig2-byz-equivocate" => (
-            AdversaryPlan::honest(n),
-            Some(AttackSpec { kind: AttackKind::Equivocate, x: 99 }),
-            Armor::NONE,
-        ),
-        // Timestamp perturbation on every link scrambles the apparent
-        // order of the two writes; some seed's read observes the flip.
-        "abd-byz-perturb" => {
-            let mut b = AdversaryPlan::builder(n);
-            for src in 0..n as u32 {
-                for dst in 0..n as u32 {
-                    if src != dst {
-                        b = b.perturb(ProcessId(src), ProcessId(dst), 100, Time::ZERO, None);
-                    }
-                }
-            }
-            (b.build(), None, Armor::NONE)
-        }
-        // A fabricated quorum ack from the last replica to the reader
-        // carries a future timestamp; its value wins the read's max.
-        "abd-byz-forge-ack" if n >= 2 => (
-            AdversaryPlan::builder(n)
-                .forge_ack(ProcessId(n as u32 - 1), ProcessId(1), 77, Time::ZERO, None)
-                .build(),
-            None,
-            Armor::NONE,
-        ),
-        // The last replica answers odd clients with an invented view.
-        "abd-byz-split-ack" => (
-            AdversaryPlan::honest(n),
-            Some(AttackSpec { kind: AttackKind::SplitAck, x: 55 }),
-            Armor::NONE,
-        ),
-        _ => honest,
-    }
+    (w.run)(s, mode)
 }
 
 /// Parameters of a fresh recording run.
@@ -720,42 +672,7 @@ impl RecordRequest {
 /// [`Schedule`] iff the checker failed (or the run panicked); `Ok(None)`
 /// means the run was clean — nothing to reproduce.
 pub fn record(req: &RecordRequest) -> Result<Option<Schedule>, ReproError> {
-    let w =
-        workload(&req.workload).ok_or_else(|| ReproError::UnknownWorkload(req.workload.clone()))?;
-    let n = req.n.unwrap_or(w.default_n);
-    let max_steps = req.max_steps.unwrap_or(w.default_steps);
-    let pattern = default_pattern(w.name, n);
-    let faults = default_faults(w.name, n);
-    let (adversary, attack, armor) = default_adversary(w.name, n);
-    let rr = run_workload(
-        w.name,
-        n,
-        req.k,
-        req.seed,
-        &pattern,
-        &faults,
-        &adversary,
-        attack,
-        armor,
-        &Driver::Fair { seed: req.seed, max_steps },
-    )?;
-    if rr.verdict == "ok" {
-        return Ok(None);
-    }
-    Ok(Some(Schedule {
-        checker: w.name.to_string(),
-        n,
-        k: req.k,
-        seed: req.seed,
-        max_steps,
-        pattern,
-        faults,
-        adversary,
-        attack,
-        armor,
-        choices: rr.executed,
-        verdict: rr.verdict,
-    }))
+    record_any(req).map(|s| (s.verdict != "ok").then_some(s))
 }
 
 /// Like [`record`] but captures the schedule **unconditionally** — an
@@ -766,37 +683,30 @@ pub fn record(req: &RecordRequest) -> Result<Option<Schedule>, ReproError> {
 pub fn record_any(req: &RecordRequest) -> Result<Schedule, ReproError> {
     let w =
         workload(&req.workload).ok_or_else(|| ReproError::UnknownWorkload(req.workload.clone()))?;
-    let n = req.n.unwrap_or(w.default_n);
-    let max_steps = req.max_steps.unwrap_or(w.default_steps);
-    let pattern = default_pattern(w.name, n);
-    let faults = default_faults(w.name, n);
-    let (adversary, attack, armor) = default_adversary(w.name, n);
-    let rr = run_workload(
-        w.name,
-        n,
-        req.k,
-        req.seed,
-        &pattern,
-        &faults,
-        &adversary,
-        attack,
-        armor,
-        &Driver::Fair { seed: req.seed, max_steps },
-    )?;
-    Ok(Schedule {
+    let d = w.defaults;
+    let n = req.n.unwrap_or(d.n);
+    if n < 2 {
+        return Err(ReproError::BadParams(format!("{} needs n >= 2, got {n}", w.name)));
+    }
+    let (adversary, attack, armor) =
+        d.adversary.map_or((AdversaryPlan::honest(n), None, Armor::NONE), |f| f(n));
+    let mut s = Schedule {
         checker: w.name.to_string(),
         n,
         k: req.k,
         seed: req.seed,
-        max_steps,
-        pattern,
-        faults,
+        max_steps: req.max_steps.unwrap_or(d.steps),
+        pattern: (d.pattern)(n),
+        faults: (d.faults)(n),
         adversary,
         attack,
         armor,
-        choices: rr.executed,
-        verdict: rr.verdict,
-    })
+        choices: Vec::new(),
+        verdict: String::new(),
+    };
+    let rr = run_workload(&s, Mode::Fair)?;
+    (s.choices, s.verdict) = (rr.executed, rr.verdict);
+    Ok(s)
 }
 
 /// [`record`] over seeds `0..seed_tries`, returning the first capture.
@@ -833,33 +743,24 @@ pub fn capture_from_script(
 ) -> Result<Schedule, ReproError> {
     // The exhaustive explorer runs adversary-free; captures from it are
     // honest-plan schedules by construction.
-    let adversary = AdversaryPlan::honest(n);
-    let rr = run_workload(
-        name,
-        n,
-        k,
-        seed,
-        &pattern,
-        &faults,
-        &adversary,
-        None,
-        Armor::NONE,
-        &Driver::Strict { choices: &script },
-    )?;
-    Ok(Schedule {
+    let mut s = Schedule {
         checker: name.to_string(),
         n,
         k,
         seed,
-        max_steps: rr.executed.len() as u64,
+        max_steps: 0,
         pattern,
         faults,
-        adversary,
+        adversary: AdversaryPlan::honest(n),
         attack: None,
         armor: Armor::NONE,
-        choices: rr.executed,
-        verdict: rr.verdict,
-    })
+        choices: script,
+        verdict: String::new(),
+    };
+    let rr = run_workload(&s, Mode::Replay(ReplayMode::Strict))?;
+    s.max_steps = rr.executed.len() as u64;
+    (s.choices, s.verdict) = (rr.executed, rr.verdict);
+    Ok(s)
 }
 
 /// Replay fidelity mode.
@@ -885,27 +786,9 @@ pub struct ReplayReport {
 
 /// Replays a schedule through its registered workload.
 pub fn replay(s: &Schedule, mode: ReplayMode) -> Result<ReplayReport, ReproError> {
-    let driver = match mode {
-        ReplayMode::Strict => Driver::Strict { choices: &s.choices },
-        ReplayMode::Lenient => Driver::Lenient { choices: &s.choices },
-    };
-    let rr = run_workload(
-        &s.checker,
-        s.n,
-        s.k,
-        s.seed,
-        &s.pattern,
-        &s.faults,
-        &s.adversary,
-        s.attack,
-        s.armor,
-        &driver,
-    )?;
-    let matches = rr.verdict == s.verdict
-        && match mode {
-            ReplayMode::Strict => rr.executed == s.choices,
-            ReplayMode::Lenient => true,
-        };
+    let rr = run_workload(s, Mode::Replay(mode))?;
+    let matches =
+        rr.verdict == s.verdict && (mode == ReplayMode::Lenient || rr.executed == s.choices);
     Ok(ReplayReport { verdict: rr.verdict, executed: rr.executed, matches })
 }
 
@@ -933,19 +816,7 @@ pub fn replay_with_fingerprints(
     s: &Schedule,
     mode: ReplayMode,
 ) -> Result<FingerprintReplay, ReproError> {
-    let driver = Driver::Coverage { choices: &s.choices, strict: mode == ReplayMode::Strict };
-    let rr = run_workload(
-        &s.checker,
-        s.n,
-        s.k,
-        s.seed,
-        &s.pattern,
-        &s.faults,
-        &s.adversary,
-        s.attack,
-        s.armor,
-        &driver,
-    )?;
+    let rr = run_workload(s, Mode::Coverage(mode))?;
     Ok(FingerprintReplay {
         verdict: rr.verdict,
         executed: rr.executed,
@@ -959,8 +830,8 @@ pub fn replay_with_fingerprints(
 /// actually-executed choice sequence, so the final schedule strict-replays
 /// exactly. Serial and deterministic — thread count never enters.
 pub fn shrink(s: &Schedule) -> Result<(Schedule, ShrinkReport), ReproError> {
-    workload(&s.checker).ok_or_else(|| ReproError::UnknownWorkload(s.checker.clone()))?;
-    let opts = ShrinkOptions { min_n: min_n(&s.checker, s.k), ..ShrinkOptions::default() };
+    let w = workload(&s.checker).ok_or_else(|| ReproError::UnknownWorkload(s.checker.clone()))?;
+    let opts = ShrinkOptions { min_n: (w.min_n)(s.k), ..ShrinkOptions::default() };
     let target = s.verdict.clone();
     let mut eval = |cand: &Schedule| -> Option<Schedule> {
         let rep = replay(cand, ReplayMode::Lenient).ok()?;
@@ -1020,12 +891,29 @@ fn verify_one(file: &str, text: &str) -> CorpusEntry {
 /// replays over the deterministic [`Sweep`] engine: the report is
 /// bitwise identical for every `threads` value (including 0 = all cores).
 pub fn verify_corpus(entries: &[(String, String)], threads: usize) -> Vec<CorpusEntry> {
-    verify_corpus_entries(entries.to_vec(), threads)
+    Sweep::new(threads).run(entries.to_vec(), || {
+        |_idx: usize, (file, text): (String, String)| verify_one(&file, &text)
+    })
 }
 
-fn verify_corpus_entries(entries: Vec<(String, String)>, threads: usize) -> Vec<CorpusEntry> {
-    Sweep::new(threads)
-        .run(entries, || |_idx: usize, (file, text): (String, String)| verify_one(&file, &text))
+/// Every `*.schedule` file under `dir` as `(file name, text)`, sorted by
+/// name.
+pub(crate) fn read_schedule_dir(dir: &std::path::Path) -> std::io::Result<Vec<(String, String)>> {
+    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "schedule"))
+        .collect();
+    files.sort();
+    files
+        .into_iter()
+        .map(|path| {
+            let name = path
+                .file_name()
+                .map(|f| f.to_string_lossy().into_owned())
+                .unwrap_or_else(|| path.display().to_string());
+            Ok((name, std::fs::read_to_string(&path)?))
+        })
+        .collect()
 }
 
 /// Reads every `*.schedule` file under `dir` (sorted by name) and
@@ -1034,20 +922,7 @@ pub fn verify_corpus_dir(
     dir: &std::path::Path,
     threads: usize,
 ) -> std::io::Result<Vec<CorpusEntry>> {
-    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "schedule"))
-        .collect();
-    files.sort();
-    let mut entries = Vec::new();
-    for path in files {
-        let name = path
-            .file_name()
-            .map(|f| f.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.display().to_string());
-        entries.push((name, std::fs::read_to_string(&path)?));
-    }
-    Ok(verify_corpus_entries(entries, threads))
+    Ok(verify_corpus(&read_schedule_dir(dir)?, threads))
 }
 
 #[cfg(test)]

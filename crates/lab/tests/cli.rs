@@ -109,3 +109,49 @@ fn figure1_renders_the_matrix() {
     assert!(text.contains("HOLDS"), "{text}");
     assert!(!text.contains("REFUTED"), "{text}");
 }
+
+#[test]
+fn help_prints_usage_and_succeeds() {
+    for flag in ["--help", "-h"] {
+        let out = lab().arg(flag).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("usage:"), "{flag}: {text}");
+        // The usage is rendered from the flag table: every flag is listed.
+        for listed in ["--n N", "--threads T", "--huge", "--json PATH", "--workload W"] {
+            assert!(text.contains(listed), "{flag}: `{listed}` missing from {text}");
+        }
+    }
+}
+
+#[test]
+fn malformed_flag_values_are_typed_errors_with_exit_2() {
+    for args in [
+        &["e1", "--n", "abc"][..],
+        &["fuzz", "--budget-schedules", "-3"],
+        &["repro", "corpus", "tests/corpus", "--threads", "x"],
+        &["e1", "--n"],
+        &["e1", "--no-such-flag"],
+    ] {
+        let out = lab().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("error: "), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+    let out = lab().args(["e1", "--n", "abc"]).output().expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--n: invalid value `abc`"), "{err}");
+}
+
+#[test]
+fn failed_json_write_is_a_typed_error_with_exit_2() {
+    let dir = std::env::temp_dir().join(format!("lab-cli-nowrite-{}", std::process::id()));
+    let path = dir.join("missing-subdir").join("out.json");
+    let out =
+        lab().args(["e14", "--seeds", "1", "--json"]).arg(&path).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("error: ") && err.contains("out.json"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}

@@ -35,7 +35,7 @@
 //! simply stays `min`, which the case analysis absorbs.
 
 use sih_model::{FdOutput, ProcessId, ProcessSet};
-use sih_runtime::{Automaton, Effects, StepInput};
+use sih_runtime::{Automaton, Corruptible, Effects, StepInput};
 
 /// Protocol messages of the Figure 6 emulation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -47,6 +47,10 @@ pub enum Fig6Msg {
     /// The min-active process's hand-over to the max-active one.
     Change,
 }
+
+/// Announcements carry process ids only; the adversary's value and ack
+/// mutations are inexpressible, its sender forgeries and replays apply.
+impl Corruptible for Fig6Msg {}
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Stage {

@@ -23,7 +23,7 @@
 //! [`OpRecord`]: sih_model::OpRecord
 
 use sih_model::{OpId, OpKind, ProcSet, ProcessId, ProcessSet, Value};
-use sih_runtime::{Automaton, Effects, StepInput};
+use sih_runtime::{Automaton, Effects, StepInput, Stubborn};
 use std::collections::VecDeque;
 
 /// A logical timestamp: Lamport pair ordered lexicographically.
@@ -165,6 +165,25 @@ impl AbdRegister {
 
     fn op_id(&self, me: ProcessId) -> OpId {
         OpId((u64::from(me.0) << 40) | self.ops_done)
+    }
+}
+
+/// A register process whose scripted client operations a run can wait
+/// on: the ABD process and every wrapper around it.
+pub trait ScriptedClient {
+    /// Whether all scripted operations have completed.
+    fn script_finished(&self) -> bool;
+}
+
+impl ScriptedClient for AbdRegister {
+    fn script_finished(&self) -> bool {
+        AbdRegister::script_finished(self)
+    }
+}
+
+impl<A: Automaton + ScriptedClient> ScriptedClient for Stubborn<A> {
+    fn script_finished(&self) -> bool {
+        self.inner().script_finished()
     }
 }
 

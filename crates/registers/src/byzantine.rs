@@ -13,7 +13,7 @@
 //! defeats an attack class means the honest side validates and discards
 //! the forgery, so the attack is never emitted at all.
 
-use crate::abd::{AbdMsg, AbdRegister, Timestamp};
+use crate::abd::{AbdMsg, AbdRegister, ScriptedClient, Timestamp};
 use sih_model::{Armor, AttackClass, MutationKind, ProcessId, Value};
 use sih_runtime::{Automaton, Corruptible, Effects, StepInput};
 
@@ -100,6 +100,12 @@ impl SplitAckForger {
     /// The wrapped register process.
     pub fn inner(&self) -> &AbdRegister {
         &self.inner
+    }
+}
+
+impl ScriptedClient for SplitAckForger {
+    fn script_finished(&self) -> bool {
+        self.inner.script_finished()
     }
 }
 

@@ -34,7 +34,10 @@ mod client;
 mod extraction;
 mod linearizability;
 
-pub use abd::{abd_processes, abd_processes_with_rule, AbdMsg, AbdRegister, QuorumRule, Timestamp};
+pub use abd::{
+    abd_processes, abd_processes_with_rule, AbdMsg, AbdRegister, QuorumRule, ScriptedClient,
+    Timestamp,
+};
 pub use byzantine::{split_ack_processes, SplitAckForger};
 pub use client::WorkloadSpec;
 pub use extraction::{extracting, SigmaExtractor};

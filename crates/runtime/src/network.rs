@@ -53,6 +53,10 @@ pub trait Corruptible: Sized {
     }
 }
 
+/// The payload-free messages of the emulation layers (Figures 3 and 5)
+/// carry nothing to corrupt; sender forgeries and replays still apply.
+impl Corruptible for () {}
+
 /// Monomorphized [`Corruptible::corrupt`] entry point, stored as a plain
 /// fn pointer in [`AdversaryState`] so the generic [`Network`] send path
 /// needs no `Corruptible` bound (only [`Network::set_adversary`] does).

@@ -37,6 +37,10 @@ pub enum Layered<L, U> {
     Upper(U),
 }
 
+/// Stacks define no mutation algebra of their own: only sender
+/// forgeries and replays apply to them.
+impl<L, U> Corruptible for Layered<L, U> {}
+
 /// Which layer's emulated output the stack reports to the trace.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ReportLayer {

@@ -3,7 +3,7 @@
 
 use sih::claims::{check_claim, Claim, ClaimConfig};
 use sih::model::{FailurePattern, ProcessId, ProcessSet};
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
 use sih::prelude::*;
 use sih_lab::{run_experiment, LabConfig};
 
@@ -18,8 +18,14 @@ fn theorem2_positive_direction_end_to_end() {
         FailurePattern::builder(5).crash_at(ProcessId(1), Time(30)).build(),
     ] {
         for seed in 0..3 {
-            let tr = pipeline::run_stack_fig3_fig2(&pattern, p, q, seed, 250_000);
-            check_k_set_agreement(&tr, &pattern, &distinct_proposals(5), 4)
+            let mut pool = RunPool::new();
+            let (tr, _) = pool.run(&RunSpec::new(
+                Algorithm::StackFig3Fig2 { p, q },
+                pattern.clone(),
+                seed,
+                250_000,
+            ));
+            check_k_set_agreement(tr, &pattern, &distinct_proposals(5), 4)
                 .unwrap_or_else(|e| panic!("{pattern:?} seed {seed}: {e}"));
             check_sigma(tr.emulated_history(), &pattern, ProcessSet::from_iter([p, q]))
                 .unwrap_or_else(|e| panic!("{pattern:?} seed {seed}: emulated σ: {e}"));
@@ -35,8 +41,14 @@ fn theorem8_positive_direction_end_to_end() {
         FailurePattern::crashed_from_start(6, ProcessSet::from_iter([2, 3, 4, 5].map(ProcessId))),
     ] {
         for seed in 0..3 {
-            let tr = pipeline::run_stack_fig5_fig4(&pattern, x, seed, 400_000);
-            check_k_set_agreement(&tr, &pattern, &distinct_proposals(6), 4)
+            let mut pool = RunPool::new();
+            let (tr, _) = pool.run(&RunSpec::new(
+                Algorithm::StackFig5Fig4 { x },
+                pattern.clone(),
+                seed,
+                400_000,
+            ));
+            check_k_set_agreement(tr, &pattern, &distinct_proposals(6), 4)
                 .unwrap_or_else(|e| panic!("{pattern:?} seed {seed}: {e}"));
         }
     }
@@ -67,12 +79,18 @@ fn register_and_agreement_coexist_in_one_system() {
     // setting of the paper's comparison.
     let pattern = FailurePattern::builder(5).crash_at(ProcessId(4), Time(50)).build();
     let s = ProcessSet::from_iter([0, 1].map(ProcessId));
-    let spec = WorkloadSpec { ops_per_process: 3, read_ratio: 0.4, seed: 9 };
-    let (_, ops) = pipeline::run_register_workload(&pattern, s, spec.scripts(s), 9, 400_000);
-    check_linearizable(&ops, None).unwrap();
+    let scripts = WorkloadSpec { ops_per_process: 3, read_ratio: 0.4, seed: 9 }.scripts(s);
+    let mut pool = RunPool::new();
+    let abd = RunSpec::new(Algorithm::Abd { s, scripts }, pattern.clone(), 9, 400_000);
+    check_linearizable(&pool.run(&abd).0.op_records(), None).unwrap();
 
-    let tr = pipeline::run_fig2(&pattern, ProcessId(0), ProcessId(1), 9, 200_000);
-    check_k_set_agreement(&tr, &pattern, &distinct_proposals(5), 4).unwrap();
+    let (tr, _) = pool.run(&RunSpec::new(
+        Algorithm::Fig2 { a0: ProcessId(0), a1: ProcessId(1) },
+        pattern.clone(),
+        9,
+        200_000,
+    ));
+    check_k_set_agreement(tr, &pattern, &distinct_proposals(5), 4).unwrap();
 }
 
 #[test]
@@ -80,7 +98,8 @@ fn paxos_baseline_beats_the_weak_agreement_bound() {
     // Consensus decides ONE value where Figure 2 is allowed n−1: the
     // baseline really is stronger.
     let pattern = FailurePattern::all_correct(5);
-    let tr = pipeline::run_paxos(&pattern, 3, 400_000);
+    let mut pool = RunPool::new();
+    let (tr, _) = pool.run(&RunSpec::new(Algorithm::Paxos, pattern.clone(), 3, 400_000));
     assert_eq!(tr.distinct_decisions().len(), 1);
-    check_k_set_agreement(&tr, &pattern, &distinct_proposals(5), 1).unwrap();
+    check_k_set_agreement(tr, &pattern, &distinct_proposals(5), 1).unwrap();
 }

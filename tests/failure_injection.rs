@@ -5,7 +5,7 @@
 use sih::agreement::{check_k_set_agreement, check_k_set_agreement_degraded, distinct_proposals};
 use sih::detectors::{check_anti_omega, check_sigma};
 use sih::model::{FailurePattern, LinkFaultPlan, ProcessId, ProcessSet, Time};
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
 use sih::runtime::LivenessVerdict;
 
 #[test]
@@ -15,8 +15,14 @@ fn fig2_survives_every_single_crash_time() {
         for crash_t in 1..=12u64 {
             let pattern =
                 FailurePattern::builder(n).crash_at(ProcessId(victim), Time(crash_t)).build();
-            let tr = pipeline::run_fig2(&pattern, ProcessId(0), ProcessId(1), crash_t, 150_000);
-            check_k_set_agreement(&tr, &pattern, &distinct_proposals(n), n - 1)
+            let mut pool = RunPool::new();
+            let (tr, _) = pool.run(&RunSpec::new(
+                Algorithm::Fig2 { a0: ProcessId(0), a1: ProcessId(1) },
+                pattern.clone(),
+                crash_t,
+                150_000,
+            ));
+            check_k_set_agreement(tr, &pattern, &distinct_proposals(n), n - 1)
                 .unwrap_or_else(|e| panic!("victim p{victim} at t{crash_t}: {e}"));
         }
     }
@@ -32,8 +38,14 @@ fn fig2_survives_every_double_crash() {
                     .crash_at(ProcessId(v1), Time(crash_t))
                     .crash_at(ProcessId(v2), Time(crash_t + 3))
                     .build();
-                let tr = pipeline::run_fig2(&pattern, ProcessId(0), ProcessId(1), crash_t, 150_000);
-                check_k_set_agreement(&tr, &pattern, &distinct_proposals(n), n - 1)
+                let mut pool = RunPool::new();
+                let (tr, _) = pool.run(&RunSpec::new(
+                    Algorithm::Fig2 { a0: ProcessId(0), a1: ProcessId(1) },
+                    pattern.clone(),
+                    crash_t,
+                    150_000,
+                ));
+                check_k_set_agreement(tr, &pattern, &distinct_proposals(n), n - 1)
                     .unwrap_or_else(|e| panic!("p{v1},p{v2} at t{crash_t}: {e}"));
             }
         }
@@ -49,8 +61,14 @@ fn fig4_survives_every_single_crash_time() {
         for crash_t in [1u64, 4, 9, 20] {
             let pattern =
                 FailurePattern::builder(n).crash_at(ProcessId(victim), Time(crash_t)).build();
-            let tr = pipeline::run_fig4(&pattern, active, crash_t, 250_000);
-            check_k_set_agreement(&tr, &pattern, &distinct_proposals(n), n - k)
+            let mut pool = RunPool::new();
+            let (tr, _) = pool.run(&RunSpec::new(
+                Algorithm::Fig4 { active },
+                pattern.clone(),
+                crash_t,
+                250_000,
+            ));
+            check_k_set_agreement(tr, &pattern, &distinct_proposals(n), n - k)
                 .unwrap_or_else(|e| panic!("victim p{victim} at t{crash_t}: {e}"));
         }
     }
@@ -73,16 +91,14 @@ fn fig2_survives_every_crash_x_partition_product() {
                 let plan = LinkFaultPlan::builder(n)
                     .drop_link(ProcessId(src), ProcessId(dst), Time::ZERO, Some(Time(300)))
                     .build();
-                let (tr, outcome) = pipeline::run_fig2_faulty(
-                    &pattern,
-                    &plan,
-                    ProcessId(0),
-                    ProcessId(1),
-                    u64::from(victim * 16 + src * 4 + dst),
-                    400_000,
-                );
+                let seed = u64::from(victim * 16 + src * 4 + dst);
+                let fig2 = Algorithm::Fig2 { a0: ProcessId(0), a1: ProcessId(1) };
+                let spec =
+                    RunSpec::new(fig2, pattern.clone(), seed, 400_000).with_faults(plan, true);
+                let mut pool = RunPool::new();
+                let (tr, outcome) = pool.run(&spec);
                 let verdict = check_k_set_agreement_degraded(
-                    &tr,
+                    tr,
                     &pattern,
                     &distinct_proposals(n),
                     n - 1,
@@ -114,15 +130,13 @@ fn fig4_survives_every_crash_x_partition_product() {
                 let plan = LinkFaultPlan::builder(n)
                     .drop_link(ProcessId(src), ProcessId(dst), Time::ZERO, Some(Time(300)))
                     .build();
-                let (tr, outcome) = pipeline::run_fig4_faulty(
-                    &pattern,
-                    &plan,
-                    active,
-                    u64::from(victim * 16 + src * 4 + dst),
-                    400_000,
-                );
+                let seed = u64::from(victim * 16 + src * 4 + dst);
+                let spec = RunSpec::new(Algorithm::Fig4 { active }, pattern.clone(), seed, 400_000)
+                    .with_faults(plan, true);
+                let mut pool = RunPool::new();
+                let (tr, outcome) = pool.run(&spec);
                 let verdict = check_k_set_agreement_degraded(
-                    &tr,
+                    tr,
                     &pattern,
                     &distinct_proposals(n),
                     n - k,
@@ -147,7 +161,13 @@ fn fig3_emulation_survives_every_single_crash_time() {
         for crash_t in [1u64, 6, 14] {
             let pattern =
                 FailurePattern::builder(n).crash_at(ProcessId(victim), Time(crash_t)).build();
-            let tr = pipeline::run_fig3(&pattern, ProcessId(0), ProcessId(1), crash_t, 6_000);
+            let mut pool = RunPool::new();
+            let (tr, _) = pool.run(&RunSpec::new(
+                Algorithm::Fig3 { p: ProcessId(0), q: ProcessId(1) },
+                pattern.clone(),
+                crash_t,
+                6_000,
+            ));
             check_sigma(tr.emulated_history(), &pattern, pair)
                 .unwrap_or_else(|e| panic!("victim p{victim} at t{crash_t}: {e}"));
         }
@@ -161,7 +181,13 @@ fn fig6_emulation_survives_every_single_crash_time() {
         for crash_t in [1u64, 6, 14] {
             let pattern =
                 FailurePattern::builder(n).crash_at(ProcessId(victim), Time(crash_t)).build();
-            let tr = pipeline::run_fig6(&pattern, ProcessId(0), ProcessId(1), crash_t, 25_000);
+            let mut pool = RunPool::new();
+            let (tr, _) = pool.run(&RunSpec::new(
+                Algorithm::Fig6 { a0: ProcessId(0), a1: ProcessId(1) },
+                pattern.clone(),
+                crash_t,
+                25_000,
+            ));
             check_anti_omega(tr.emulated_history(), &pattern)
                 .unwrap_or_else(|e| panic!("victim p{victim} at t{crash_t}: {e}"));
         }

@@ -9,7 +9,7 @@ use sih::detectors::{
     SigmaK, SigmaMode, SigmaS,
 };
 use sih::model::{FailureDetector, FailurePattern, ProcessId, ProcessSet, Time};
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
 use sih::registers::{check_linearizable, WorkloadSpec};
 
 /// A random failure pattern with at least one correct process.
@@ -44,8 +44,9 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let n = pattern.n();
-        let tr = pipeline::run_fig2(&pattern, ProcessId(0), ProcessId(1), seed, 150_000);
-        check_k_set_agreement(&tr, &pattern, &distinct_proposals(n), n - 1)
+        let mut pool = RunPool::new();
+        let (tr, _) = pool.run(&RunSpec::new(Algorithm::Fig2 { a0: ProcessId(0), a1: ProcessId(1) }, pattern.clone(), seed, 150_000));
+        check_k_set_agreement(tr, &pattern, &distinct_proposals(n), n - 1)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
     }
 
@@ -57,8 +58,9 @@ proptest! {
     ) {
         let n = pattern.n();
         let active: ProcessSet = (0..2 * k as u32).map(ProcessId).collect();
-        let tr = pipeline::run_fig4(&pattern, active, seed, 200_000);
-        check_k_set_agreement(&tr, &pattern, &distinct_proposals(n), n - k)
+        let mut pool = RunPool::new();
+        let (tr, _) = pool.run(&RunSpec::new(Algorithm::Fig4 { active }, pattern.clone(), seed, 200_000));
+        check_k_set_agreement(tr, &pattern, &distinct_proposals(n), n - k)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
     }
 
@@ -120,9 +122,9 @@ proptest! {
         // covered by unit and integration tests.
         let pattern = FailurePattern::all_correct(4);
         let s: ProcessSet = (0..2u32).map(ProcessId).collect();
-        let spec = WorkloadSpec { ops_per_process: 3, read_ratio, seed };
-        let (_, ops) = pipeline::run_register_workload(&pattern, s, spec.scripts(s), seed, 300_000);
-        check_linearizable(&ops, None)
+        let scripts = WorkloadSpec { ops_per_process: 3, read_ratio, seed }.scripts(s);
+        let spec = RunSpec::new(Algorithm::Abd { s, scripts }, pattern, seed, 300_000);
+        check_linearizable(&RunPool::new().run(&spec).0.op_records(), None)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
     }
 
@@ -131,7 +133,8 @@ proptest! {
         pattern in arb_pattern(4),
         seed in 0u64..1_000,
     ) {
-        let tr = pipeline::run_fig6(&pattern, ProcessId(0), ProcessId(1), seed, 25_000);
+        let mut pool = RunPool::new();
+        let (tr, _) = pool.run(&RunSpec::new(Algorithm::Fig6 { a0: ProcessId(0), a1: ProcessId(1) }, pattern.clone(), seed, 25_000));
         check_anti_omega(tr.emulated_history(), &pattern)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
     }
@@ -145,8 +148,9 @@ proptest! {
         // every prefix, not only at termination.
         let pattern = FailurePattern::all_correct(4);
         let proposals = distinct_proposals(4);
-        let tr = pipeline::run_fig2(&pattern, ProcessId(0), ProcessId(1), seed, budget);
-        check_k_agreement_safety(&tr, &proposals, 3)
+        let mut pool = RunPool::new();
+        let (tr, _) = pool.run(&RunSpec::new(Algorithm::Fig2 { a0: ProcessId(0), a1: ProcessId(1) }, pattern.clone(), seed, budget));
+        check_k_agreement_safety(tr, &proposals, 3)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
     }
 }

@@ -4,15 +4,21 @@
 
 use sih::agreement::{check_k_set_agreement, distinct_proposals};
 use sih::model::{FailurePattern, NoDetector, ProcessId, ProcessSet, Value};
-use sih::pipeline;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
 use sih::runtime::{Automaton, Effects, FairScheduler, Simulation, StepInput};
 
 #[test]
 fn fig2_at_n_32() {
     for seed in 0..2 {
         let pattern = FailurePattern::all_correct(32);
-        let tr = pipeline::run_fig2(&pattern, ProcessId(0), ProcessId(1), seed, 400_000);
-        check_k_set_agreement(&tr, &pattern, &distinct_proposals(32), 31).unwrap();
+        let mut pool = RunPool::new();
+        let (tr, _) = pool.run(&RunSpec::new(
+            Algorithm::Fig2 { a0: ProcessId(0), a1: ProcessId(1) },
+            pattern.clone(),
+            seed,
+            400_000,
+        ));
+        check_k_set_agreement(tr, &pattern, &distinct_proposals(32), 31).unwrap();
     }
 }
 
@@ -20,8 +26,9 @@ fn fig2_at_n_32() {
 fn fig4_at_n_24_k_8() {
     let active: ProcessSet = (0..16u32).map(ProcessId).collect();
     let pattern = FailurePattern::all_correct(24);
-    let tr = pipeline::run_fig4(&pattern, active, 1, 600_000);
-    check_k_set_agreement(&tr, &pattern, &distinct_proposals(24), 16).unwrap();
+    let mut pool = RunPool::new();
+    let (tr, _) = pool.run(&RunSpec::new(Algorithm::Fig4 { active }, pattern.clone(), 1, 600_000));
+    check_k_set_agreement(tr, &pattern, &distinct_proposals(24), 16).unwrap();
 }
 
 #[test]

@@ -12,9 +12,8 @@
 //!    checks; `// sih-analysis: allow(…)` pragmas are honored at item
 //!    granularity, and a pragma that suppresses nothing is itself a
 //!    finding (`unused-allow`).
-//! 3. **Claim-registry completeness** ([`claims`]) — every paper claim
-//!    R1–R10 must have a checker, a lab experiment, and a PAPER_MAP.md
-//!    entry.
+//! 3. **Claim documentation** ([`claims`]) — every claim id of the claim
+//!    table (R1–R10) must be referenced in PAPER_MAP.md.
 //! 4. **Lint hygiene** ([`hygiene`]) — crate-level `forbid(unsafe_code)`
 //!    and `warn(missing_docs)` attributes everywhere they belong.
 //! 5. **Replay-corpus validity** ([`corpus`]) — every committed

@@ -16,29 +16,12 @@ pub struct Finding {
 }
 
 /// The evidence gathered for one paper claim (R1–R10).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClaimEvidence {
-    /// Claim id (`R1` … `R10`).
-    pub id: &'static str,
-    /// The `sih::claims::Claim` variant name.
-    pub variant: &'static str,
-    /// The checker function expected in `crates/core/src/claims.rs`.
-    pub checker: &'static str,
-    /// The lab experiment ids expected to exercise the claim.
-    pub experiments: Vec<&'static str>,
-    /// Variant + checker found in the claims registry.
-    pub checker_ok: bool,
-    /// Every expected experiment found in the lab registry.
-    pub experiment_ok: bool,
+    /// Claim id (`R1` … `R10`), as read from the claim table.
+    pub id: String,
     /// Claim id documented in PAPER_MAP.md.
     pub doc_ok: bool,
-}
-
-impl ClaimEvidence {
-    /// Whether every cross-reference is present.
-    pub fn complete(&self) -> bool {
-        self.checker_ok && self.experiment_ok && self.doc_ok
-    }
 }
 
 /// The full analysis report.
@@ -46,8 +29,8 @@ impl ClaimEvidence {
 pub struct Report {
     /// All findings, in scan order.
     pub findings: Vec<Finding>,
-    /// Claim-registry completeness evidence (empty only if the registry
-    /// sources were missing — which itself produces findings).
+    /// Claim documentation evidence (empty only if the claim table was
+    /// unreadable — which itself produces a finding).
     pub claims: Vec<ClaimEvidence>,
     /// Number of files scanned by the determinism pass.
     pub files_scanned: usize,
@@ -64,9 +47,9 @@ pub struct Report {
 }
 
 impl Report {
-    /// Whether the analysis passed (no findings, all claims complete).
+    /// Whether the analysis passed (no findings, every claim documented).
     pub fn ok(&self) -> bool {
-        self.findings.is_empty() && self.claims.iter().all(ClaimEvidence::complete)
+        self.findings.is_empty() && self.claims.iter().all(|c| c.doc_ok)
     }
 
     /// The report as a JSON document (machine-readable; CI uploads it).
@@ -96,21 +79,7 @@ impl Report {
         out.push_str("  \"claims\": [");
         for (i, c) in self.claims.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let experiments =
-                c.experiments.iter().map(|e| json_str(e)).collect::<Vec<_>>().join(", ");
-            let _ = write!(
-                out,
-                "    {{\"id\": {}, \"variant\": {}, \"checker\": {}, \"experiments\": [{}], \
-                 \"checker_ok\": {}, \"experiment_ok\": {}, \"doc_ok\": {}, \"complete\": {}}}",
-                json_str(c.id),
-                json_str(c.variant),
-                json_str(c.checker),
-                experiments,
-                c.checker_ok,
-                c.experiment_ok,
-                c.doc_ok,
-                c.complete()
-            );
+            let _ = write!(out, "    {{\"id\": {}, \"doc_ok\": {}}}", json_str(&c.id), c.doc_ok);
         }
         out.push_str(if self.claims.is_empty() { "]\n" } else { "\n  ]\n" });
         out.push_str("}\n");
@@ -124,15 +93,8 @@ impl Report {
             let _ = writeln!(out, "{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
         }
         for c in &self.claims {
-            let _ = writeln!(
-                out,
-                "claim {:<4} {:<44} checker:{} experiment:{} doc:{}",
-                c.id,
-                c.variant,
-                mark(c.checker_ok),
-                mark(c.experiment_ok),
-                mark(c.doc_ok),
-            );
+            let _ =
+                writeln!(out, "claim {:<4} doc:{}", c.id, if c.doc_ok { "ok" } else { "MISSING" });
         }
         let _ = writeln!(
             out,
@@ -149,14 +111,6 @@ impl Report {
             self.suppressed,
         );
         out
-    }
-}
-
-fn mark(ok: bool) -> &'static str {
-    if ok {
-        "ok"
-    } else {
-        "MISSING"
     }
 }
 
@@ -193,15 +147,7 @@ mod tests {
                 line: 7,
                 message: "HashMap \"quoted\"".into(),
             }],
-            claims: vec![ClaimEvidence {
-                id: "R1",
-                variant: "SigmaImplementsSetAgreement",
-                checker: "check_r1",
-                experiments: vec!["e1"],
-                checker_ok: true,
-                experiment_ok: true,
-                doc_ok: false,
-            }],
+            claims: vec![ClaimEvidence { id: "R1".into(), doc_ok: false }],
             files_scanned: 3,
             suppressed: 1,
             graph_fns: 4,
@@ -227,7 +173,7 @@ mod tests {
         let json = sample().to_json();
         assert!(json.contains(r#""rule": "hash-container""#));
         assert!(json.contains(r#"HashMap \"quoted\""#));
-        assert!(json.contains(r#""complete": false"#));
+        assert!(json.contains(r#""id": "R1", "doc_ok": false"#));
         // Balanced braces/brackets (cheap well-formedness smoke).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

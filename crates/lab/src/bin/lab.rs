@@ -1,14 +1,17 @@
 //! `lab` — the experiment CLI.
 //!
 //! ```text
-//! lab <e1..e15 | figure1 | explore | faults | byzantine | scale | fuzz | repro | all> [FLAGS]
+//! lab <EXPERIMENT | all | figure1 | BENCH | repro> [FLAGS]
 //! lab --help
 //! ```
 //!
-//! Every flag lives in one table ([`FLAGS`]), which also renders the
-//! usage text. A malformed flag value, a missing argument or a failed
-//! file write is a typed error: it is printed and the process exits
-//! with status 2.
+//! Every flag lives in one table ([`FLAGS`]), every bench command in
+//! another ([`BENCHES`]), and the experiments in the library's
+//! `EXPERIMENTS` table; the usage text and the unknown-command error are
+//! rendered from the three. A malformed flag value, a configuration the
+//! runs cannot honor (experiments need `n ≥ 3` and `1 ≤ k ≤ n/2`), a
+//! missing argument or a failed file write is a typed error: it is
+//! printed and the process exits with status 2.
 //!
 //! `--threads 0` (the default) uses one worker per available core; every
 //! thread count produces identical results, so `--threads` only changes
@@ -54,7 +57,7 @@ use sih_lab::{
     load_seed_schedules, render_figure1, repro, run_byzantine_bench, run_experiment,
     run_explore_bench, run_faults_bench, run_fuzz_bench, run_scale_bench, ByzantineLabConfig,
     ExperimentReport, ExploreLabConfig, FaultsLabConfig, FuzzLabConfig, LabConfig, ScaleLabConfig,
-    EXPERIMENT_IDS,
+    EXPERIMENTS, EXPERIMENT_IDS,
 };
 use sih_runtime::{Schedule, ShrinkReport};
 use std::fmt;
@@ -209,20 +212,34 @@ fn usage() -> String {
             |(flag, v, _)| if v.is_empty() { format!("[{flag}]") } else { format!("[{flag} {v}]") },
         )
         .collect();
+    let experiments: String = EXPERIMENTS
+        .iter()
+        .map(|e| format!("  {:<10} {} ({})\n", e.id, e.title, e.paper_ref))
+        .collect();
     format!(
-        "usage: lab <e1..e15 | figure1 | explore | faults | byzantine | scale | fuzz | repro | all> \
-         {}\n\
-         experiments: {}\n\
+        "usage: lab <{}> {}\n\
+         commands: an experiment id runs that experiment; `all` runs every experiment; \
+         `figure1` renders Figure 1; a bench ({}) prints its full report and `--json` writes \
+         its BENCH file (where a bench and an experiment share a name, the bench runs)\n\
+         experiments:\n{experiments}\
          repro: lab repro record --workload W [--n N] [--k K] [--seed S] [--scan T] [--steps M] \
          [--shrink] [--out FILE]\n       \
          lab repro shrink FILE [--out FILE]\n       \
          lab repro replay FILE [--lenient]\n       \
          lab repro corpus DIR [--threads T] [--fresh DIR]\n\
          workloads: {}\n",
+        commands().join(" | "),
         flags.join(" "),
-        EXPERIMENT_IDS.join(", "),
+        BENCHES.iter().map(|b| b.0).collect::<Vec<_>>().join(", "),
         repro::WORKLOADS.iter().map(|w| w.name).collect::<Vec<_>>().join(", ")
     )
+}
+
+/// Every command name: the experiment ids, `all`, `figure1`, the benches
+/// not already named by an experiment, and `repro`.
+fn commands() -> Vec<&'static str> {
+    let benches = BENCHES.iter().map(|b| b.0).filter(|b| !EXPERIMENT_IDS.contains(b));
+    EXPERIMENT_IDS.into_iter().chain(["all", "figure1"]).chain(benches).chain(["repro"]).collect()
 }
 
 fn main() -> ExitCode {
@@ -282,6 +299,65 @@ fn emit(
     Ok(exit_code(ok, &format!("{what} outcome")))
 }
 
+/// Runs one bench command (named by the [`BENCHES`] row) and prints its
+/// report.
+type Bench = fn(&'static str, &Opts) -> Result<ExitCode, CliError>;
+
+/// The commands that run a full bench and print its own report instead
+/// of an experiment summary.
+const BENCHES: &[(&str, Bench)] = &[
+    ("explore", |name, o| {
+        let r = run_explore_bench(&o.explore);
+        if r.frontier_regressed() {
+            eprintln!(
+                "error: frontier_speedup {:.2} < 1.0 — the parallel frontier leg is slower than \
+                 the unreduced baseline; CI fails the explore job on this (release artifact only)",
+                r.frontier_speedup()
+            );
+        }
+        emit(name, &r, || r.to_json(), r.verdicts_agree() && r.reduced.ok(), o.json.as_deref())
+    }),
+    ("faults", |name, o| {
+        require(o.faults.n >= 3, "--n", o.faults.n, "must be at least 3")?;
+        let r = run_faults_bench(&o.faults);
+        emit(name, &r, || r.to_json(), r.ok(), o.json.as_deref())
+    }),
+    ("byzantine", |name, o| {
+        require(o.byz.n >= 3, "--n", o.byz.n, "must be at least 3")?;
+        let r = run_byzantine_bench(&o.byz);
+        emit(name, &r, || r.to_json(), r.ok(), o.json.as_deref())
+    }),
+    ("scale", |name, o| {
+        let r = run_scale_bench(&o.scale);
+        emit(name, &r, || r.to_json(), r.ok(), o.json.as_deref())
+    }),
+    ("fuzz", |name, o| {
+        require(o.fuzz.batch >= 1, "--batch", o.fuzz.batch, "must be at least 1")?;
+        let extra = match &o.corpus {
+            Some(dir) => load_seed_schedules(std::path::Path::new(dir)).map_err(io_err(dir))?,
+            None => Vec::new(),
+        };
+        let r = run_fuzz_bench(&o.fuzz, &extra);
+        let code = emit(name, &r, || r.to_json(), r.ok(), o.json.as_deref())?;
+        if let Some(dir) = &o.witness_dir {
+            write_witnesses(dir, &o.fuzz, &r)?;
+        }
+        Ok(code)
+    }),
+];
+
+/// Rejects `value` for `flag` unless `ok` — before any run starts.
+fn require(ok: bool, flag: &'static str, value: usize, reason: &str) -> Result<(), CliError> {
+    let err = || CliError::BadValue { flag, value: value.to_string(), reason: reason.into() };
+    ok.then_some(()).ok_or_else(err)
+}
+
+/// Rejects an experiment configuration outside `check_claim`'s range.
+fn check_lab_config(c: &LabConfig) -> Result<(), CliError> {
+    require(c.n >= 3, "--n", c.n, "must be at least 3")?;
+    require(c.k >= 1 && 2 * c.k <= c.n, "--k", c.k, &format!("must be in 1..={}", c.n / 2))
+}
+
 fn run(command: &str, args: &[String]) -> Result<ExitCode, CliError> {
     let (o, positional) = parse(args)?;
     if command == "repro" {
@@ -290,59 +366,27 @@ fn run(command: &str, args: &[String]) -> Result<ExitCode, CliError> {
     if let Some(extra) = positional.first() {
         return Err(CliError::Usage(format!("unexpected argument {extra}")));
     }
-    let json = o.json.as_deref();
+    if let Some(&(name, bench)) = BENCHES.iter().find(|b| b.0 == command) {
+        return bench(name, &o);
+    }
     match command {
-        "scale" => {
-            let r = run_scale_bench(&o.scale);
-            emit("scale", &r, || r.to_json(), r.ok(), json)
-        }
-        "byzantine" => {
-            let r = run_byzantine_bench(&o.byz);
-            emit("byzantine", &r, || r.to_json(), r.ok(), json)
-        }
-        "faults" => {
-            let r = run_faults_bench(&o.faults);
-            emit("faults", &r, || r.to_json(), r.ok(), json)
-        }
-        "explore" => {
-            let r = run_explore_bench(&o.explore);
-            if r.frontier_regressed() {
-                eprintln!(
-                    "error: frontier_speedup {:.2} < 1.0 — the parallel frontier leg is slower \
-                     than the unreduced baseline; CI fails the explore job on this (release \
-                     artifact only)",
-                    r.frontier_speedup()
-                );
-            }
-            emit("explore", &r, || r.to_json(), r.verdicts_agree() && r.reduced.ok(), json)
-        }
-        "fuzz" => {
-            let extra = match &o.corpus {
-                Some(dir) => load_seed_schedules(std::path::Path::new(dir)).map_err(io_err(dir))?,
-                None => Vec::new(),
-            };
-            let r = run_fuzz_bench(&o.fuzz, &extra);
-            let code = emit("fuzz", &r, || r.to_json(), r.ok(), json)?;
-            if let Some(dir) = &o.witness_dir {
-                write_witnesses(dir, &o.fuzz, &r)?;
-            }
-            Ok(code)
-        }
         "figure1" => {
+            check_lab_config(&o.lab)?;
             print!("{}", render_figure1(&o.lab));
             Ok(ExitCode::SUCCESS)
         }
         "all" => experiments(&o, EXPERIMENT_IDS.to_vec()),
         id if EXPERIMENT_IDS.contains(&id) => experiments(&o, vec![id]),
         other => Err(CliError::Usage(format!(
-            "unknown command {other}; expected e1..e15, explore, faults, byzantine, scale, fuzz, \
-             figure1, repro or all"
+            "unknown command {other}; expected one of {}",
+            commands().join(", ")
         ))),
     }
 }
 
 /// Runs experiments by id, printing each report as it finishes.
 fn experiments(o: &Opts, ids: Vec<&str>) -> Result<ExitCode, CliError> {
+    check_lab_config(&o.lab)?;
     let reports: Vec<(ExperimentReport, Duration)> = ids
         .into_iter()
         .map(|id| {

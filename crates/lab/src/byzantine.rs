@@ -21,16 +21,16 @@
 //! only on `(cell, rung, seed)`, so the JSON is bitwise identical for
 //! any `--threads`.
 
-use crate::faults::{degraded_verdict, matrix_algorithm};
 use crate::json::{ObjectBuilder, Value};
+use crate::matrix::{degraded_verdict, Attack, MatrixWorkload, MATRIX};
 use crate::repro::quiet_catch;
 use sih::pipeline::{RunPool, RunSpec};
 use sih_model::{
-    AdversaryPlan, Armor, AttackClass, AttackKind, AttackSpec, FailurePattern, MutationKind,
+    AdversaryPlan, Armor, AttackKind, AttackSpec, FailurePattern, MutationKind, MutationWindow,
     ProcessId, Time,
 };
-use sih_runtime::sweep::Sweep;
-use sih_runtime::{LivenessVerdict, RunOutcome, TraceLevel};
+use sih_runtime::sweep::{with_seeds, Sweep};
+use sih_runtime::{LivenessVerdict, TraceLevel};
 use std::fmt;
 use std::time::Instant;
 
@@ -54,103 +54,55 @@ impl Default for ByzantineLabConfig {
     }
 }
 
-/// One (workload, attack) cell of the matrix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct CellSpec {
-    workload: &'static str,
-    attack: &'static str,
-}
-
-/// The 15 cells: every network-level mutation kind that can touch the
-/// workload's messages, plus the workload's scripted attack if it has
+/// Every (workload, attack) cell: each network-level mutation kind that
+/// can touch the workload's messages, then its scripted attack if it has
 /// one.
-const CELLS: [CellSpec; 15] = [
-    CellSpec { workload: "fig2", attack: "flip" },
-    CellSpec { workload: "fig2", attack: "perturb" },
-    CellSpec { workload: "fig2", attack: "replay" },
-    CellSpec { workload: "fig2", attack: "forge-sender" },
-    CellSpec { workload: "fig2", attack: "equivocate" },
-    CellSpec { workload: "fig4", attack: "flip" },
-    CellSpec { workload: "fig4", attack: "perturb" },
-    CellSpec { workload: "fig4", attack: "replay" },
-    CellSpec { workload: "fig4", attack: "forge-sender" },
-    CellSpec { workload: "abd", attack: "flip" },
-    CellSpec { workload: "abd", attack: "perturb" },
-    CellSpec { workload: "abd", attack: "replay" },
-    CellSpec { workload: "abd", attack: "forge-sender" },
-    CellSpec { workload: "abd", attack: "forge-ack" },
-    CellSpec { workload: "abd", attack: "split-ack" },
-];
-
-/// The attack class a cell's attack belongs to (decides which armor rung
-/// provably defeats it).
-fn cell_class(attack: &str) -> AttackClass {
-    match attack {
-        "equivocate" => AttackClass::Equivocation,
-        "split-ack" => AttackClass::AckForgery,
-        name => MutationKind::from_name(name).expect("cell names a mutation kind").class(),
-    }
-}
-
-/// The repro workload whose shrunk corpus witness excuses this cell's
-/// sub-armor safety violations (`None`: the cell's degradation is
-/// reported but not separately witnessed).
-pub fn cell_witness(workload: &str, attack: &str) -> Option<&'static str> {
-    // Witnesses are per attack *class* on a workload: `flip` and
-    // `perturb` are both [`AttackClass::Tamper`], so they share the
-    // workload's perturb witness. Replay and sender forgery have no
-    // witness — they degrade liveness but never violate safety, and
-    // `ByzantineCell::ok` enforces exactly that.
-    match (workload, cell_class(attack)) {
-        ("fig2", AttackClass::Tamper) => Some("fig2-byz-perturb"),
-        ("fig2", AttackClass::Equivocation) => Some("fig2-byz-equivocate"),
-        ("fig4", AttackClass::Tamper) => Some("fig4-byz-perturb"),
-        ("abd", AttackClass::Tamper) => Some("abd-byz-perturb"),
-        ("abd", AttackClass::AckForgery) if attack == "forge-ack" => Some("abd-byz-forge-ack"),
-        ("abd", AttackClass::AckForgery) => Some("abd-byz-split-ack"),
-        _ => None,
-    }
+fn cells() -> Vec<(&'static MatrixWorkload, Attack)> {
+    MATRIX
+        .iter()
+        .flat_map(|w| {
+            let mutations =
+                MutationKind::ALL.into_iter().filter(|k| w.acks || *k != MutationKind::ForgeAck);
+            mutations
+                .map(Attack::Mutation)
+                .chain(w.scripted.map(Attack::Scripted))
+                .map(move |a| (w, a))
+        })
+        .collect()
 }
 
 /// Builds a cell's adversary configuration for a system of `n`
 /// processes: the mutation plan (honest for scripted attacks) and the
-/// attack spec (for the two scripted attacks).
-fn cell_adversary(spec: &CellSpec, n: usize) -> (AdversaryPlan, Option<AttackSpec>) {
-    let honest = AdversaryPlan::honest(n);
-    match spec.attack {
-        "equivocate" => (honest, Some(AttackSpec { kind: AttackKind::Equivocate, x: 99 })),
-        "split-ack" => (honest, Some(AttackSpec { kind: AttackKind::SplitAck, x: 55 })),
-        name => {
-            let kind = MutationKind::from_name(name).expect("cell names a mutation kind");
+/// attack spec (for scripted attacks).
+fn cell_adversary(attack: Attack, n: usize) -> (AdversaryPlan, Option<AttackSpec>) {
+    let kind = match attack {
+        Attack::Scripted(kind) => {
             let x = match kind {
-                MutationKind::Perturb => 100,
-                MutationKind::ForgeSender => n as u64 - 1,
-                MutationKind::ForgeAck => 77,
-                MutationKind::Flip | MutationKind::Replay => 0,
+                AttackKind::Equivocate => 99,
+                AttackKind::SplitAck => 55,
             };
-            // The kind on every directed link from t=0, unbounded: the
-            // matrix charts worst-case degradation per mutation class,
-            // not a lucky schedule's near-miss, so the pressure must not
-            // depend on which link the scheduler happens to exercise.
-            let mut b = AdversaryPlan::builder(n);
-            for src in 0..n as u32 {
-                for dst in 0..n as u32 {
-                    if src == dst {
-                        continue;
-                    }
-                    let (s, d) = (ProcessId(src), ProcessId(dst));
-                    b = match kind {
-                        MutationKind::Flip => b.flip(s, d, Time::ZERO, None),
-                        MutationKind::Perturb => b.perturb(s, d, x, Time::ZERO, None),
-                        MutationKind::Replay => b.replay(s, d, Time::ZERO, None),
-                        MutationKind::ForgeSender => b.forge_sender(s, d, x, Time::ZERO, None),
-                        MutationKind::ForgeAck => b.forge_ack(s, d, x, Time::ZERO, None),
-                    };
-                }
-            }
-            (b.build(), None)
+            return (AdversaryPlan::honest(n), Some(AttackSpec { kind, x }));
+        }
+        Attack::Mutation(kind) => kind,
+    };
+    let x = match kind {
+        MutationKind::Perturb => 100,
+        MutationKind::ForgeSender => n as u64 - 1,
+        MutationKind::ForgeAck => 77,
+        MutationKind::Flip | MutationKind::Replay => 0,
+    };
+    // The kind on every directed link from t=0, unbounded: the matrix
+    // charts worst-case degradation per mutation class, not a lucky
+    // schedule's near-miss, so the pressure must not depend on which link
+    // the scheduler happens to exercise.
+    let mut b = AdversaryPlan::builder(n);
+    for src in (0..n as u32).map(ProcessId) {
+        for dst in (0..n as u32).map(ProcessId).filter(|&dst| dst != src) {
+            let (stride, offset, from, until) = (1, 0, Time::ZERO, None);
+            b = b.mutate(MutationWindow { src, dst, kind, x, stride, offset, from, until });
         }
     }
+    (b.build(), None)
 }
 
 /// Accumulated counters of one (cell, armor-rung) leg over its seeds.
@@ -216,11 +168,10 @@ impl RungStats {
 /// swept bottom to top.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ByzantineCell {
-    /// Which algorithm ran (`"fig2"`, `"fig4"`, `"abd"`).
+    /// Which matrix workload ran.
     pub workload: &'static str,
-    /// Which attack it ran under (a mutation kind name, `"equivocate"`
-    /// or `"split-ack"`).
-    pub attack: &'static str,
+    /// Which attack it ran under.
+    pub attack: Attack,
     /// The armor rung that provably defeats the attack's class (the
     /// ladder's upper bound for `defeating_rung`).
     pub class_rung: u8,
@@ -254,7 +205,7 @@ impl ByzantineCell {
     fn to_json(&self) -> Value {
         ObjectBuilder::new()
             .field("workload", self.workload)
-            .field("attack", self.attack)
+            .field("attack", self.attack.name())
             .field("class_rung", self.class_rung as u64)
             .field(
                 "rungs",
@@ -345,18 +296,6 @@ impl fmt::Display for ByzantineBenchReport {
     }
 }
 
-/// One run's verdict, panic included as its own violation-grade token.
-enum RunVerdict {
-    Live,
-    SafeNotLive,
-    Violation,
-    Panic,
-}
-
-/// One run's contribution: `(grid index, verdict, counters)`; counters
-/// are `None` for panicked runs (the simulation died mid-step).
-type Sample = (usize, RunVerdict, Option<RunOutcome>);
-
 /// Runs the full byzantine matrix: 15 cells × 4 armor rungs × seeds.
 ///
 /// The grid fans `(cell, rung, seed)` across the sweep engine; each
@@ -371,86 +310,75 @@ pub fn run_byzantine_bench(cfg: &ByzantineLabConfig) -> ByzantineBenchReport {
     let ladder = Armor::LADDER.len();
 
     // The canonical grid: every (cell, rung) leg × every seed.
-    let mut grid: Vec<(usize, u64)> = Vec::new();
-    for leg in 0..CELLS.len() * ladder {
-        for seed in 0..cfg.seeds {
-            grid.push((leg, seed));
-        }
-    }
+    let specs = &cells();
+    let grid = with_seeds(&(0..specs.len() * ladder).collect::<Vec<_>>(), cfg.seeds);
 
     let max_steps = cfg.max_steps;
-    let samples: Vec<Sample> = Sweep::new(cfg.threads).run(grid, || {
+    let sweep = Sweep::new(cfg.threads);
+    let workers = sweep.effective_threads(grid.len());
+    let samples = sweep.run(grid, || {
         let mut pool = RunPool::with_trace_level(TraceLevel::Light);
         let pattern = pattern.clone();
         move |_idx, (leg, seed): (usize, u64)| {
-            let cell = &CELLS[leg / ladder];
-            let armor = Armor::LADDER[leg % ladder];
-            let (plan, attack) = cell_adversary(cell, n);
-            let spec =
-                RunSpec::new(matrix_algorithm(cell.workload), pattern.clone(), seed, max_steps)
-                    .with_adversary(plan, attack, armor);
+            let (workload, attack) = specs[leg / ladder];
+            let (plan, attack) = cell_adversary(attack, n);
+            let spec = RunSpec::new((workload.algorithm)(), pattern.clone(), seed, max_steps)
+                .with_adversary(plan, attack, Armor::LADDER[leg % ladder]);
             // A mutated value can trip an automaton invariant (e.g.
             // Fig. 2's validity `expect`); that is a violation-grade
             // outcome of its own, not a harness crash. The pool resets
             // fully on the next acquire.
+            // Each sample is the degraded verdict with the run's counters,
+            // or `Err` for a panicked run (violation-grade).
             let ran = quiet_catch(std::panic::AssertUnwindSafe(|| {
                 let (tr, outcome) = pool.run(&spec);
                 (degraded_verdict(&spec, tr, &outcome), outcome)
             }));
-            match ran {
-                Ok((Err(_), outcome)) => (leg, RunVerdict::Violation, Some(outcome)),
-                Ok((Ok(LivenessVerdict::Live), outcome)) => (leg, RunVerdict::Live, Some(outcome)),
-                Ok((Ok(_), outcome)) => (leg, RunVerdict::SafeNotLive, Some(outcome)),
-                Err(()) => (leg, RunVerdict::Panic, None),
-            }
+            (leg, ran)
         }
     });
 
     // Fold in canonical grid order (sums are order-independent anyway).
-    let mut cells: Vec<ByzantineCell> = CELLS
+    let mut cells: Vec<ByzantineCell> = specs
         .iter()
-        .map(|spec| {
-            let class = cell_class(spec.attack);
+        .map(|&(workload, attack)| {
             let class_rung = Armor::LADDER
                 .iter()
-                .position(|a| a.defeats(class))
+                .position(|a| a.defeats(attack.class()))
                 .expect("the full ladder defeats every class") as u8;
             ByzantineCell {
-                workload: spec.workload,
-                attack: spec.attack,
+                workload: workload.name,
+                attack,
                 class_rung,
                 rungs: vec![RungStats::default(); ladder],
                 defeating_rung: None,
-                witness: cell_witness(spec.workload, spec.attack),
+                witness: workload.witness(attack),
             }
         })
         .collect();
-    for (leg, verdict, outcome) in samples {
+    for (leg, ran) in samples {
         let stats = &mut cells[leg / ladder].rungs[leg % ladder];
         stats.runs += 1;
+        let Ok((verdict, o)) = ran else {
+            stats.panics += 1;
+            continue;
+        };
         match verdict {
-            RunVerdict::Live => stats.live += 1,
-            RunVerdict::SafeNotLive => stats.safe_not_live += 1,
-            RunVerdict::Violation => stats.violations += 1,
-            RunVerdict::Panic => stats.panics += 1,
+            Ok(LivenessVerdict::Live) => stats.live += 1,
+            Ok(_) => stats.safe_not_live += 1,
+            Err(_) => stats.violations += 1,
         }
-        if let Some(o) = outcome {
-            stats.steps += o.steps;
-            stats.sent += o.sent;
-            stats.delivered += o.delivered;
-            stats.mutated += o.mutated;
-            stats.forged += o.forged;
-            stats.armored += o.armored;
-        }
+        stats.steps += o.steps;
+        stats.sent += o.sent;
+        stats.delivered += o.delivered;
+        stats.mutated += o.mutated;
+        stats.forged += o.forged;
+        stats.armored += o.armored;
     }
     for c in &mut cells {
         c.defeating_rung = c.rungs.iter().position(|s| s.fully_live() && s.safe()).map(|r| r as u8);
     }
 
-    let workers = match cfg.threads {
-        0 => std::thread::available_parallelism().map_or(1, usize::from),
-        t => t,
-    };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     ByzantineBenchReport { cfg: *cfg, workers, cells, wall_ms }
 }
@@ -499,6 +427,36 @@ mod tests {
         // The acceptance floor: at least 4 witnessed cells actually
         // produce the violation their corpus schedule reproduces.
         assert!(witnessed_violations >= 4, "only {witnessed_violations} witnessed cells violated");
+    }
+
+    #[test]
+    fn every_scripted_attack_has_a_cell_and_a_repro_workload() {
+        use crate::repro::WORKLOADS;
+        let cells = cells();
+        for kind in AttackKind::ALL {
+            assert!(cells.iter().any(|(_, a)| *a == Attack::Scripted(kind)), "{kind:?}: no cell");
+            let carried = WORKLOADS.iter().any(|w| {
+                let adversary = w.defaults.adversary.map(|f| f(w.defaults.n));
+                adversary.is_some_and(|(_, attack, _)| attack.is_some_and(|a| a.kind == kind))
+            });
+            assert!(carried, "{kind:?}: no repro workload carries it");
+        }
+    }
+
+    #[test]
+    fn every_matrix_witness_is_a_committed_byzantine_repro_workload() {
+        let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+        let cells = cells();
+        for w in MATRIX {
+            for &(attack, name) in w.witnesses {
+                let repro = crate::repro::workload(name);
+                assert!(repro.is_some_and(|r| r.defaults.adversary.is_some()), "{name}");
+                let file = corpus.join(format!("{name}.schedule"));
+                assert!(file.exists(), "{name}: {} is not committed", file.display());
+                let cell = cells.iter().any(|(cw, a)| cw.name == w.name && *a == attack);
+                assert!(cell, "{}: witness {name} has no cell", w.name);
+            }
+        }
     }
 
     #[test]

@@ -1,23 +1,26 @@
 //! The experiment registry: every table/figure/claim of the paper mapped
-//! to a runnable experiment `E1…E12` (see DESIGN.md's per-experiment
-//! index).
+//! to a runnable experiment `E1…E15` (see DESIGN.md's per-experiment
+//! index), plus the harness-level `faults`, `byzantine` and `fuzz`
+//! summaries. [`EXPERIMENTS`] is the one list of them.
 
 use crate::report::{ExperimentReport, RunStats};
+use crate::{
+    run_byzantine_bench, run_faults_bench, run_fuzz_bench, ByzantineLabConfig, FaultsLabConfig,
+    FuzzLabConfig,
+};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sih::claims::{check_claim, Claim, ClaimConfig, Verdict};
-use sih::patterns::{pattern_suite, random_majority_pattern};
-use sih::pipeline::{Algorithm, RunPool, RunSpec};
-use sih_agreement::{check_k_set_agreement, distinct_proposals};
-use sih_detectors::{check_anti_omega, check_sigma, check_sigma_k, check_sigma_s, QuorumSigma};
-use sih_model::{FailurePattern, NoDetector, ProcessId, ProcessSet, Value};
-use sih_reductions::{
-    fig2_tightness, fig4_tightness, lemma11_defeat, lemma15_defeat, lemma7_defeat, theorem13_demo,
-    AntiOmegaAgreementCandidate, GossipPairCandidate, Lemma15Verdict, MirrorPairCandidate,
-    MirrorXCandidate,
+use sih::claims::{
+    check_claim, lemma11_outsider, lemma11_two_k, lemma15_chain, lemma7_defeats, positive_samples,
+    sweep_samples, Claim, ClaimConfig, RunSample, Verdict,
 };
+use sih::patterns::random_majority_pattern;
+use sih::pipeline::{Algorithm, RunPool, RunSpec};
+use sih_detectors::{check_sigma_s, QuorumSigma};
+use sih_model::{FailurePattern, NoDetector, OpKind, ProcessId, ProcessSet, Value};
+use sih_reductions::{fig2_tightness, fig4_tightness, theorem13_demo, Lemma15Verdict};
 use sih_registers::{check_linearizable, WorkloadSpec};
-use sih_runtime::sweep::{with_seeds, Sweep};
+use sih_runtime::sweep::Sweep;
 use sih_runtime::{FairScheduler, SimPool, Simulation, TraceLevel};
 
 /// Lab configuration (a serializable [`ClaimConfig`] superset).
@@ -48,333 +51,275 @@ impl From<LabConfig> for ClaimConfig {
     }
 }
 
-/// All experiment ids, in DESIGN.md order.
-pub const EXPERIMENT_IDS: [&str; 18] = [
-    "e1",
-    "e2",
-    "e3",
-    "e4",
-    "e5",
-    "e6",
-    "e7",
-    "e8",
-    "e9",
-    "e10",
-    "e11",
-    "e12",
-    "e13",
-    "e14",
-    "e15",
-    "faults",
-    "byzantine",
-    "fuzz",
+/// One experiment: its id, title, the paper artifact it regenerates, and
+/// its runner.
+pub struct Experiment {
+    /// Experiment id (the CLI command that runs it).
+    pub id: &'static str,
+    /// Human title.
+    pub title: &'static str,
+    /// Paper artifact the experiment regenerates.
+    pub paper_ref: &'static str,
+    run: fn(&LabConfig) -> Run,
+}
+
+/// What a runner observed; [`run_experiment`] adds the row's id, title
+/// and paper reference.
+struct Run {
+    ok: bool,
+    outcome: String,
+    details: Vec<String>,
+    stats: Option<RunStats>,
+}
+
+impl Run {
+    fn new(
+        ok: bool,
+        outcome: impl Into<String>,
+        details: Vec<String>,
+        stats: Option<RunStats>,
+    ) -> Run {
+        Run { ok, outcome: outcome.into(), details, stats }
+    }
+}
+
+/// Every experiment, in DESIGN.md order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        id: "e1",
+        title: "σ implements (n−1)-set agreement",
+        paper_ref: "Figure 2, Theorem 4",
+        run: e1_fig2,
+    },
+    Experiment {
+        id: "e2",
+        title: "Σ_{p,q} ⪰ σ (2-register harder than set agreement)",
+        paper_ref: "Figure 3, Lemma 6",
+        run: e2_fig3,
+    },
+    Experiment {
+        id: "e3",
+        title: "Σ_{p,q} ⋠ σ (set agreement NOT harder than 2-register)",
+        paper_ref: "Lemma 7",
+        run: e3_lemma7,
+    },
+    Experiment {
+        id: "e4",
+        title: "σ_2k implements (n−k)-set agreement",
+        paper_ref: "Figure 4, Theorem 8(a)",
+        run: e4_fig4,
+    },
+    Experiment {
+        id: "e5",
+        title: "Σ_X ⪰ σ_|X| (2k-register harder than (n−k)-set agreement)",
+        paper_ref: "Figure 5, Lemma 10",
+        run: e5_fig5,
+    },
+    Experiment {
+        id: "e6",
+        title: "Σ_X2k ⋠ σ_2k ((n−k)-set agreement NOT harder than 2k-register)",
+        paper_ref: "Lemma 11",
+        run: e6_lemma11,
+    },
+    Experiment {
+        id: "e7",
+        title: "decision budgets n−1 / n−k are tight",
+        paper_ref: "§5 claim (c); tightness schedules",
+        run: e7_tightness,
+    },
+    Experiment {
+        id: "e8",
+        title: "(2k+1)-register not harder than (n−(k+1))-set agreement",
+        paper_ref: "Theorems 12–13, Corollary 14",
+        run: e8_theorem13,
+    },
+    Experiment {
+        id: "e9",
+        title: "anti-Ω ≺ σ (emulation via Figure 6; strictness via Lemma 15)",
+        paper_ref: "Figure 6, Lemmas 15–16, Corollary 17",
+        run: e9_fig6,
+    },
+    Experiment {
+        id: "e10",
+        title: "quorum implementation of Σ in majority-correct environments",
+        paper_ref: "§2.2",
+        run: e10_quorum,
+    },
+    Experiment {
+        id: "e11",
+        title: "ABD S-register emulation is atomic (linearizable)",
+        paper_ref: "Proposition 1 substrate ([1],[9])",
+        run: e11_abd,
+    },
+    Experiment {
+        id: "e12",
+        title: "Figure 1: the results matrix",
+        paper_ref: "Figure 1",
+        run: e12_figure1,
+    },
+    Experiment {
+        id: "e13",
+        title: "shared-memory substrate + the register-emulation port",
+        paper_ref: "Theorem 12 setting ([21,13,3] world)",
+        run: e13_sharedmem,
+    },
+    Experiment {
+        id: "e14",
+        title: "n = 2: register and set agreement are equivalent",
+        paper_ref: "Footnote 1 ([9])",
+        run: e14_footnote,
+    },
+    Experiment {
+        id: "e15",
+        title: "Σ extracted from the register's own message flow",
+        paper_ref: "Proposition 1, necessity direction ([8],[10])",
+        run: e15_extraction,
+    },
+    Experiment {
+        id: "faults",
+        title: "quorum algorithms degrade gracefully over faulty links",
+        paper_ref: "§2.1 channel model, stressed",
+        run: faults_matrix,
+    },
+    Experiment {
+        id: "byzantine",
+        title: "minimum armor defeats each attack at its class rung",
+        paper_ref: "beyond the model: authenticated channels assumed by §2.1, made explicit",
+        run: byzantine_matrix,
+    },
+    Experiment {
+        id: "fuzz",
+        title: "coverage-guided schedule fuzzing re-finds the planted violations",
+        paper_ref: "harness tier: mutation search over the schedule space of §2.1 runs",
+        run: fuzz_smoke,
+    },
 ];
 
-/// Runs one experiment by id (`"e1"` … `"e15"`, `"faults"`,
-/// `"byzantine"`, `"fuzz"`).
+/// Every experiment id, in [`EXPERIMENTS`] order.
+pub const EXPERIMENT_IDS: [&str; EXPERIMENTS.len()] = {
+    let mut ids = [""; EXPERIMENTS.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = EXPERIMENTS[i].id;
+        i += 1;
+    }
+    ids
+};
+
+/// Runs one experiment by id (see [`EXPERIMENT_IDS`]).
 ///
 /// # Panics
 ///
 /// Panics on an unknown id.
 pub fn run_experiment(id: &str, cfg: &LabConfig) -> ExperimentReport {
-    match id {
-        "e1" => e1_fig2(cfg),
-        "e2" => e2_fig3(cfg),
-        "e3" => e3_lemma7(cfg),
-        "e4" => e4_fig4(cfg),
-        "e5" => e5_fig5(cfg),
-        "e6" => e6_lemma11(cfg),
-        "e7" => e7_tightness(cfg),
-        "e8" => e8_theorem13(cfg),
-        "e9" => e9_fig6(cfg),
-        "e10" => e10_quorum(cfg),
-        "e11" => e11_abd(cfg),
-        "e12" => e12_figure1(cfg),
-        "e13" => e13_sharedmem(cfg),
-        "e14" => e14_footnote(cfg),
-        "e15" => e15_extraction(cfg),
-        "faults" => faults_matrix(cfg),
-        "byzantine" => byzantine_matrix(cfg),
-        "fuzz" => fuzz_smoke(cfg),
-        other => {
-            panic!("unknown experiment id {other:?} (expected e1..e15, faults, byzantine or fuzz)")
-        }
+    let Some(e) = EXPERIMENTS.iter().find(|e| e.id == id) else {
+        panic!("unknown experiment id {id:?} (expected one of {EXPERIMENT_IDS:?})")
+    };
+    let Run { ok, outcome, details, stats } = (e.run)(cfg);
+    ExperimentReport {
+        id: e.id.into(),
+        title: e.title.into(),
+        paper_ref: e.paper_ref.into(),
+        ok,
+        outcome,
+        details,
+        stats,
     }
 }
 
-fn pair() -> (ProcessId, ProcessId) {
-    (ProcessId(0), ProcessId(1))
+/// Folds run samples into `stats` in order and returns their own stats.
+fn fold(stats: &mut RunStats, samples: Vec<RunSample>) -> RunStats {
+    let mut sub = RunStats::default();
+    for (steps, messages, verdict) in samples {
+        sub.record(steps, messages, verdict.is_err());
+        stats.record(steps, messages, verdict.is_err());
+    }
+    sub
 }
 
-/// One simulated run's contribution to a [`RunStats`] fold:
-/// `(steps, messages, violated)`.
-type RunSample = (u64, u64, bool);
-
-/// Fans a `(pattern, seed)` grid across the sweep engine and returns the
-/// per-run samples flattened in canonical grid order. Callers fold the
-/// samples into [`RunStats`] serially — the running means are
-/// order-sensitive, so the fold must not depend on which worker finished
-/// first.
-fn sweep_runs<W, F>(
-    threads: usize,
-    seeds: u64,
-    patterns: Vec<FailurePattern>,
-    make_job: W,
-) -> Vec<RunSample>
-where
-    W: Fn() -> F + Sync,
-    F: FnMut(&FailurePattern, u64) -> Vec<RunSample>,
-{
-    let grid = with_seeds(&patterns, seeds);
-    Sweep::new(threads)
-        .run(grid, || {
-            let mut job = make_job();
-            move |_idx, (pattern, seed): (FailurePattern, u64)| job(&pattern, seed)
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+/// A sweep's report: ok iff no run violated its property.
+fn swept(stats: RunStats, outcome: impl Into<String>, details: Vec<String>) -> Run {
+    Run::new(stats.violations == 0, outcome, details, Some(stats))
 }
 
-fn e1_fig2(cfg: &LabConfig) -> ExperimentReport {
-    let (p, q) = pair();
-    let focus = ProcessSet::from_iter([p, q]);
+fn e1_fig2(cfg: &LabConfig) -> Run {
     let mut stats = RunStats::default();
     let mut details = Vec::new();
-    let max_steps = cfg.max_steps;
     for n in [3usize, 4, cfg.n.max(5)] {
-        let samples = sweep_runs(cfg.threads, cfg.seeds, pattern_suite(n, focus, 3, 101), || {
-            let mut pool = RunPool::with_trace_level(TraceLevel::Light);
-            move |pattern: &FailurePattern, seed| {
-                let spec = RunSpec::new(
-                    Algorithm::Fig2 { a0: p, a1: q },
-                    pattern.clone(),
-                    seed,
-                    max_steps,
-                );
-                let (tr, _) = pool.run(&spec);
-                let violated =
-                    check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - 1).is_err();
-                vec![(tr.total_steps(), tr.messages_sent(), violated)]
-            }
-        });
-        let mut sub = RunStats::default();
-        for (steps, messages, violated) in samples {
-            sub.record(steps, messages, violated);
-            stats.record(steps, messages, violated);
-        }
-        details.push(format!("n={n}: {sub}"));
+        let at_n = ClaimConfig { n, ..(*cfg).into() };
+        let claim = Claim::SigmaImplementsSetAgreement;
+        let samples = positive_samples(claim, &at_n, (3, 101), &[cfg.max_steps]);
+        details.push(format!("n={n}: {}", fold(&mut stats, samples)));
     }
-    ExperimentReport {
-        id: "e1".into(),
-        title: "σ implements (n−1)-set agreement".into(),
-        paper_ref: "Figure 2, Theorem 4".into(),
-        ok: stats.violations == 0,
-        outcome: format!("{} runs across sizes, zero violations expected", stats.runs),
-        details,
-        stats: Some(stats),
-    }
+    let outcome = format!("{} runs across sizes, zero violations expected", stats.runs);
+    swept(stats, outcome, details)
 }
 
-fn e2_fig3(cfg: &LabConfig) -> ExperimentReport {
-    let (p, q) = pair();
-    let focus = ProcessSet::from_iter([p, q]);
+fn e2_fig3(cfg: &LabConfig) -> Run {
     let mut stats = RunStats::default();
-    let (n, max_steps) = (cfg.n, cfg.max_steps);
-    let samples = sweep_runs(cfg.threads, cfg.seeds, pattern_suite(n, focus, 4, 103), || {
-        let mut pool = RunPool::with_trace_level(TraceLevel::Light);
-        move |pattern: &FailurePattern, seed| {
-            let fig3 = Algorithm::Fig3 { p, q };
-            let (tr, _) = pool.run(&RunSpec::new(fig3, pattern.clone(), seed, 6_000));
-            let v1 = check_sigma(tr.emulated_history(), pattern, focus).is_err();
-            let s1 = (tr.total_steps(), tr.messages_sent(), v1);
-            let stack = Algorithm::StackFig3Fig2 { p, q };
-            let (tr, _) = pool.run(&RunSpec::new(stack, pattern.clone(), seed, max_steps));
-            let v2 = check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - 1).is_err();
-            vec![s1, (tr.total_steps(), tr.messages_sent(), v2)]
-        }
-    });
-    for (steps, messages, violated) in samples {
-        stats.record(steps, messages, violated);
-    }
-    ExperimentReport {
-        id: "e2".into(),
-        title: "Σ_{p,q} ⪰ σ (2-register harder than set agreement)".into(),
-        paper_ref: "Figure 3, Lemma 6".into(),
-        ok: stats.violations == 0,
-        outcome: "Fig 3 emulation legal per Definition 3; stacked Fig3→Fig2 solves set agreement"
-            .into(),
-        details: vec![],
-        stats: Some(stats),
-    }
+    let claim = Claim::TwoRegisterHarderThanSetAgreement;
+    let budgets = [6_000, cfg.max_steps];
+    fold(&mut stats, positive_samples(claim, &(*cfg).into(), (4, 103), &budgets));
+    let outcome = "Fig 3 emulation legal per Definition 3; stacked Fig3→Fig2 solves set agreement";
+    swept(stats, outcome, vec![])
 }
 
-fn e3_lemma7(cfg: &LabConfig) -> ExperimentReport {
-    let (p, q) = pair();
-    let a = ProcessId(2);
-    let n = cfg.n;
-    let d1 = lemma7_defeat(
-        &|| (0..n).map(|_| MirrorPairCandidate::new(p, q)).collect::<Vec<_>>(),
-        n,
-        p,
-        q,
-        a,
-        17,
-        40_000,
-    );
-    let d2 = lemma7_defeat(
-        &|| (0..n).map(|_| GossipPairCandidate::new(p, q, 16)).collect::<Vec<_>>(),
-        n,
-        p,
-        q,
-        a,
-        19,
-        80_000,
-    );
-    ExperimentReport {
-        id: "e3".into(),
-        title: "Σ_{p,q} ⋠ σ (set agreement NOT harder than 2-register)".into(),
-        paper_ref: "Lemma 7".into(),
-        ok: true,
-        outcome: "every candidate emulation defeated by the two-run construction".into(),
-        details: vec![format!("mirror: {d1}"), format!("gossip: {d2}")],
-        stats: None,
-    }
+fn e3_lemma7(cfg: &LabConfig) -> Run {
+    let defeats = lemma7_defeats(cfg.n, [40_000, 80_000]);
+    let details = defeats.iter().map(|(name, d)| format!("{name}: {d}")).collect();
+    let outcome = "every candidate emulation defeated by the two-run construction";
+    Run::new(true, outcome, details, None)
 }
 
-fn e4_fig4(cfg: &LabConfig) -> ExperimentReport {
+fn e4_fig4(cfg: &LabConfig) -> Run {
     let mut stats = RunStats::default();
     let mut details = Vec::new();
-    let (n, max_steps) = (cfg.n, cfg.max_steps);
     for k in 1..=cfg.n / 2 {
-        let active: ProcessSet = (0..2 * k as u32).map(ProcessId).collect();
-        let suite = pattern_suite(n, active, 3, 107 + k as u64);
-        let samples = sweep_runs(cfg.threads, cfg.seeds, suite, || {
-            let mut pool = RunPool::with_trace_level(TraceLevel::Light);
-            move |pattern: &FailurePattern, seed| {
-                let spec =
-                    RunSpec::new(Algorithm::Fig4 { active }, pattern.clone(), seed, max_steps);
-                let (tr, _) = pool.run(&spec);
-                let violated =
-                    check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - k).is_err();
-                vec![(tr.total_steps(), tr.messages_sent(), violated)]
-            }
-        });
-        let mut sub = RunStats::default();
-        for (steps, messages, violated) in samples {
-            sub.record(steps, messages, violated);
-            stats.record(steps, messages, violated);
-        }
-        details.push(format!("k={k}: {sub}"));
+        let at_k = ClaimConfig { k, ..(*cfg).into() };
+        let claim = Claim::Sigma2kImplementsNMinusKAgreement;
+        let samples = positive_samples(claim, &at_k, (3, 107 + k as u64), &[cfg.max_steps]);
+        details.push(format!("k={k}: {}", fold(&mut stats, samples)));
     }
-    ExperimentReport {
-        id: "e4".into(),
-        title: "σ_2k implements (n−k)-set agreement".into(),
-        paper_ref: "Figure 4, Theorem 8(a)".into(),
-        ok: stats.violations == 0,
-        outcome: format!("swept k = 1..{} at n = {}", cfg.n / 2, cfg.n),
-        details,
-        stats: Some(stats),
-    }
+    swept(stats, format!("swept k = 1..{} at n = {}", cfg.n / 2, cfg.n), details)
 }
 
-fn e5_fig5(cfg: &LabConfig) -> ExperimentReport {
-    let x: ProcessSet = (0..2 * cfg.k as u32).map(ProcessId).collect();
+fn e5_fig5(cfg: &LabConfig) -> Run {
     let mut stats = RunStats::default();
-    let (n, k, max_steps) = (cfg.n, cfg.k, cfg.max_steps);
-    let samples = sweep_runs(cfg.threads, cfg.seeds, pattern_suite(n, x, 4, 109), || {
-        let mut pool = RunPool::with_trace_level(TraceLevel::Light);
-        move |pattern: &FailurePattern, seed| {
-            let (tr, _) =
-                pool.run(&RunSpec::new(Algorithm::Fig5 { x }, pattern.clone(), seed, 6_000));
-            let v1 = check_sigma_k(tr.emulated_history(), pattern, x).is_err();
-            let s1 = (tr.total_steps(), tr.messages_sent(), v1);
-            let stack = Algorithm::StackFig5Fig4 { x };
-            let (tr, _) = pool.run(&RunSpec::new(stack, pattern.clone(), seed, max_steps * 2));
-            let v2 = check_k_set_agreement(tr, pattern, &distinct_proposals(n), n - k).is_err();
-            vec![s1, (tr.total_steps(), tr.messages_sent(), v2)]
-        }
-    });
-    for (steps, messages, violated) in samples {
-        stats.record(steps, messages, violated);
-    }
-    ExperimentReport {
-        id: "e5".into(),
-        title: "Σ_X ⪰ σ_|X| (2k-register harder than (n−k)-set agreement)".into(),
-        paper_ref: "Figure 5, Lemma 10".into(),
-        ok: stats.violations == 0,
-        outcome:
-            "Fig 5 emulation legal per Definition 9; stacked Fig5→Fig4 solves (n−k)-set agreement"
-                .into(),
-        details: vec![],
-        stats: Some(stats),
-    }
+    let claim = Claim::XRegisterHarderThanNMinusKAgreement;
+    let budgets = [6_000, cfg.max_steps * 2];
+    fold(&mut stats, positive_samples(claim, &(*cfg).into(), (4, 109), &budgets));
+    let outcome =
+        "Fig 5 emulation legal per Definition 9; stacked Fig5→Fig4 solves (n−k)-set agreement";
+    swept(stats, outcome, vec![])
 }
 
-fn e6_lemma11(cfg: &LabConfig) -> ExperimentReport {
-    let n = cfg.n;
-    let x: ProcessSet = (0..2 * cfg.k as u32).map(ProcessId).collect();
-    let d1 = lemma11_defeat(
-        &|| (0..n).map(|_| MirrorXCandidate::new(x)).collect::<Vec<_>>(),
-        n,
-        x,
-        31,
-        40_000,
-    );
-    let m = (2 * cfg.k).max(4);
-    let full = ProcessSet::full(m);
-    let d2 = lemma11_defeat(
-        &|| (0..m).map(|_| MirrorXCandidate::new(full)).collect::<Vec<_>>(),
-        m,
-        full,
-        37,
-        40_000,
-    );
-    ExperimentReport {
-        id: "e6".into(),
-        title: "Σ_X2k ⋠ σ_2k ((n−k)-set agreement NOT harder than 2k-register)".into(),
-        paper_ref: "Lemma 11".into(),
-        ok: true,
-        outcome: "candidates defeated in both the outsider and n=2k constructions".into(),
-        details: vec![format!("n>2k: {d1}"), format!("n=2k={m}: {d2}")],
-        stats: None,
-    }
+fn e6_lemma11(cfg: &LabConfig) -> Run {
+    let (m, d2) = lemma11_two_k(cfg.k, 40_000);
+    let d1 = lemma11_outsider(cfg.n, cfg.k, 40_000);
+    let details = vec![format!("n>2k: {d1}"), format!("n=2k={m}: {d2}")];
+    let outcome = "candidates defeated in both the outsider and n=2k constructions";
+    Run::new(true, outcome, details, None)
 }
 
-fn e7_tightness(cfg: &LabConfig) -> ExperimentReport {
+fn e7_tightness(cfg: &LabConfig) -> Run {
     let mut details = Vec::new();
     let mut ok = true;
     for n in [3usize, 4, cfg.n.max(5)] {
         let r = fig2_tightness(n, 41);
         ok &= r.is_exact();
-        details.push(format!(
-            "Fig 2, n={n}: forced {} distinct (budget {})",
-            r.distinct.len(),
-            n - 1
-        ));
+        let (forced, budget) = (r.distinct.len(), n - 1);
+        details.push(format!("Fig 2, n={n}: forced {forced} distinct (budget {budget})"));
     }
     for k in 1..=cfg.n / 2 {
         let r = fig4_tightness(cfg.n, k, 43);
         ok &= r.is_exact();
-        details.push(format!(
-            "Fig 4, n={}, k={k}: forced {} distinct (budget {})",
-            cfg.n,
-            r.distinct.len(),
-            cfg.n - k
-        ));
+        let (n, forced, budget) = (cfg.n, r.distinct.len(), cfg.n - k);
+        details.push(format!("Fig 4, n={n}, k={k}: forced {forced} distinct (budget {budget})"));
     }
-    ExperimentReport {
-        id: "e7".into(),
-        title: "decision budgets n−1 / n−k are tight".into(),
-        paper_ref: "§5 claim (c); tightness schedules".into(),
-        ok,
-        outcome: "adversarial schedules exhaust the full budgets".into(),
-        details,
-        stats: None,
-    }
+    Run::new(ok, "adversarial schedules exhaust the full budgets", details, None)
 }
 
-fn e8_theorem13(cfg: &LabConfig) -> ExperimentReport {
+fn e8_theorem13(cfg: &LabConfig) -> Run {
     let mut details = Vec::new();
     let mut ok = true;
     for k in 1..=cfg.k.max(3) {
@@ -382,89 +327,48 @@ fn e8_theorem13(cfg: &LabConfig) -> ExperimentReport {
         ok &= r.violates_k_agreement;
         details.push(r.to_string());
     }
-    ExperimentReport {
-        id: "e8".into(),
-        title: "(2k+1)-register not harder than (n−(k+1))-set agreement".into(),
-        paper_ref: "Theorems 12–13, Corollary 14".into(),
+    Run::new(
         ok,
-        outcome: "B-from-A simulation: candidates' B violates k-set agreement with Σ".into(),
+        "B-from-A simulation: candidates' B violates k-set agreement with Σ",
         details,
-        stats: None,
-    }
+        None,
+    )
 }
 
-fn e9_fig6(cfg: &LabConfig) -> ExperimentReport {
-    let (p, q) = pair();
-    let focus = ProcessSet::from_iter([p, q]);
+fn e9_fig6(cfg: &LabConfig) -> Run {
     let mut stats = RunStats::default();
-    let samples = sweep_runs(cfg.threads, cfg.seeds, pattern_suite(cfg.n, focus, 4, 113), || {
-        let mut pool = RunPool::with_trace_level(TraceLevel::Light);
-        move |pattern: &FailurePattern, seed| {
-            let spec =
-                RunSpec::new(Algorithm::Fig6 { a0: p, a1: q }, pattern.clone(), seed, 25_000);
-            let (tr, _) = pool.run(&spec);
-            let violated = check_anti_omega(tr.emulated_history(), pattern).is_err();
-            vec![(tr.total_steps(), tr.messages_sent(), violated)]
-        }
-    });
-    for (steps, messages, violated) in samples {
-        stats.record(steps, messages, violated);
-    }
+    let claim = Claim::SigmaStrictlyStrongerThanAntiOmega;
+    fold(&mut stats, positive_samples(claim, &(*cfg).into(), (4, 113), &[25_000]));
     // Lemma 15 gives the strictness half.
-    let report = lemma15_defeat(
-        &|props: &[Value]| AntiOmegaAgreementCandidate::processes(props, 5),
-        cfg.n,
-        20_000,
-    );
+    let report = lemma15_chain(cfg.n);
     let strict = matches!(report.verdict, Lemma15Verdict::AgreementViolation { .. });
-    ExperimentReport {
-        id: "e9".into(),
-        title: "anti-Ω ≺ σ (emulation via Figure 6; strictness via Lemma 15)".into(),
-        paper_ref: "Figure 6, Lemmas 15–16, Corollary 17".into(),
-        ok: stats.violations == 0 && strict,
-        outcome: "Fig 6 output legal anti-Ω; chain construction defeats anti-Ω set agreement"
-            .into(),
-        details: vec![format!("Lemma 15 chain: {report}")],
-        stats: Some(stats),
-    }
+    let details = vec![format!("Lemma 15 chain: {report}")];
+    let outcome = "Fig 6 output legal anti-Ω; chain construction defeats anti-Ω set agreement";
+    Run::new(stats.violations == 0 && strict, outcome, details, Some(stats))
 }
 
-fn e10_quorum(cfg: &LabConfig) -> ExperimentReport {
+fn e10_quorum(cfg: &LabConfig) -> Run {
     let mut stats = RunStats::default();
     let mut rng = ChaCha8Rng::seed_from_u64(127);
     let mut patterns = vec![FailurePattern::all_correct(cfg.n)];
-    for _ in 0..4 {
-        patterns.push(random_majority_pattern(cfg.n, &mut rng));
-    }
+    patterns.extend((0..4).map(|_| random_majority_pattern(cfg.n, &mut rng)));
     let n = cfg.n;
-    let samples = sweep_runs(cfg.threads, cfg.seeds, patterns, || {
+    let samples = sweep_samples(cfg.threads, cfg.seeds, &patterns, || {
         let mut pool = SimPool::with_trace_level(TraceLevel::Light);
         move |pattern: &FailurePattern, seed| {
             let procs = (0..n).map(|_| QuorumSigma::full(n)).collect();
             let sim = pool.acquire(procs, pattern);
-            let mut sched = FairScheduler::new(seed);
-            sim.run(&mut sched, &NoDetector, 10_000);
+            sim.run(&mut FairScheduler::new(seed), &NoDetector, 10_000);
             let tr = sim.trace();
-            let violated =
-                check_sigma_s(tr.emulated_history(), pattern, ProcessSet::full(n)).is_err();
-            vec![(tr.total_steps(), tr.messages_sent(), violated)]
+            let verdict = check_sigma_s(tr.emulated_history(), pattern, ProcessSet::full(n));
+            vec![(tr.total_steps(), tr.messages_sent(), verdict.map_err(|e| e.to_string()))]
         }
     });
-    for (steps, messages, violated) in samples {
-        stats.record(steps, messages, violated);
-    }
-    ExperimentReport {
-        id: "e10".into(),
-        title: "quorum implementation of Σ in majority-correct environments".into(),
-        paper_ref: "§2.2".into(),
-        ok: stats.violations == 0,
-        outcome: "emulated Σ histories satisfy intersection + completeness".into(),
-        details: vec![],
-        stats: Some(stats),
-    }
+    fold(&mut stats, samples);
+    swept(stats, "emulated Σ histories satisfy intersection + completeness", vec![])
 }
 
-fn e11_abd(cfg: &LabConfig) -> ExperimentReport {
+fn e11_abd(cfg: &LabConfig) -> Run {
     let mut stats = RunStats::default();
     let mut details = Vec::new();
     let mut rng = ChaCha8Rng::seed_from_u64(131);
@@ -486,36 +390,22 @@ fn e11_abd(cfg: &LabConfig) -> ExperimentReport {
                     seed,
                     max_steps,
                 ));
-                let violated = check_linearizable(&tr.op_records(), None).is_err();
-                (tr.total_steps(), tr.messages_sent(), violated)
+                let verdict = check_linearizable(&tr.op_records(), None);
+                (tr.total_steps(), tr.messages_sent(), verdict.map_err(|e| e.to_string()))
             }
         });
-        let mut sub = RunStats::default();
-        for (steps, messages, violated) in samples {
-            sub.record(steps, messages, violated);
-            stats.record(steps, messages, violated);
-        }
-        details.push(format!("|S|={s_size}: {sub}"));
+        details.push(format!("|S|={s_size}: {}", fold(&mut stats, samples)));
     }
-    ExperimentReport {
-        id: "e11".into(),
-        title: "ABD S-register emulation is atomic (linearizable)".into(),
-        paper_ref: "Proposition 1 substrate ([1],[9])".into(),
-        ok: stats.violations == 0,
-        outcome: "every recorded operation history linearizable".into(),
-        details,
-        stats: Some(stats),
-    }
+    swept(stats, "every recorded operation history linearizable", details)
 }
 
-fn e12_figure1(cfg: &LabConfig) -> ExperimentReport {
+fn e12_figure1(cfg: &LabConfig) -> Run {
     let claim_cfg: ClaimConfig = (*cfg).into();
     let mut details = Vec::new();
     let mut ok = true;
     for claim in Claim::ALL {
         let outcome = check_claim(claim, &claim_cfg);
-        let confirmed = outcome.verdict.confirmed();
-        ok &= confirmed;
+        ok &= outcome.verdict.confirmed();
         let line = match &outcome.verdict {
             Verdict::Holds { runs } => format!("HOLDS ({runs} runs)"),
             Verdict::CounterexampleExhibited { defeats } => {
@@ -523,20 +413,12 @@ fn e12_figure1(cfg: &LabConfig) -> ExperimentReport {
             }
             Verdict::Refuted { detail } => format!("REFUTED: {detail}"),
         };
-        details.push(format!("{:<42} {:<28} {line}", claim.title(), outcome.claim.paper_ref()));
+        details.push(format!("{:<42} {:<28} {line}", claim.title(), claim.paper_ref()));
     }
-    ExperimentReport {
-        id: "e12".into(),
-        title: "Figure 1: the results matrix".into(),
-        paper_ref: "Figure 1".into(),
-        ok,
-        outcome: "every row of the paper's results figure machine-checked".into(),
-        details,
-        stats: None,
-    }
+    Run::new(ok, "every row of the paper's results figure machine-checked", details, None)
 }
 
-fn e13_sharedmem(cfg: &LabConfig) -> ExperimentReport {
+fn e13_sharedmem(cfg: &LabConfig) -> Run {
     use sih_sharedmem::{bridged_processes, CollectMin, LocalSharedSim};
     let n = cfg.n;
     let proposals: Vec<Value> = (0..n as u64).map(Value).collect();
@@ -567,8 +449,7 @@ fn e13_sharedmem(cfg: &LabConfig) -> ExperimentReport {
         let det = sih_detectors::SigmaS::new(ProcessSet::full(n), &pattern, seed);
         let procs = bridged_processes(CollectMin::processes(&proposals, f), n);
         let mut sim = Simulation::new(procs, pattern.clone());
-        let mut sched = FairScheduler::new(seed);
-        sim.run_until(&mut sched, &det, cfg.max_steps * 3, |s| {
+        sim.run_until(&mut FairScheduler::new(seed), &det, cfg.max_steps * 3, |s| {
             s.pattern().correct().iter().all(|p| s.trace().decision_of(p).is_some())
         });
         let done = pattern.correct().iter().all(|p| sim.trace().decision_of(p).is_some());
@@ -577,18 +458,14 @@ fn e13_sharedmem(cfg: &LabConfig) -> ExperimentReport {
     }
     details.push(format!("bridged over ABD+Σ, f={f}: shared-memory program ported unchanged"));
 
-    ExperimentReport {
-        id: "e13".into(),
-        title: "shared-memory substrate + the register-emulation port".into(),
-        paper_ref: "Theorem 12 setting ([21,13,3] world)".into(),
-        ok: stats.violations == 0,
-        outcome: "CollectMin solves (f+1)-set agreement locally and over emulated registers".into(),
+    swept(
+        stats,
+        "CollectMin solves (f+1)-set agreement locally and over emulated registers",
         details,
-        stats: Some(stats),
-    }
+    )
 }
 
-fn e15_extraction(cfg: &LabConfig) -> ExperimentReport {
+fn e15_extraction(cfg: &LabConfig) -> Run {
     use sih_registers::extracting;
     let mut stats = RunStats::default();
     let mut rng = ChaCha8Rng::seed_from_u64(137);
@@ -602,52 +479,31 @@ fn e15_extraction(cfg: &LabConfig) -> ExperimentReport {
         let mut pool = SimPool::with_trace_level(TraceLevel::Light);
         move |_idx, (pattern, seed): (FailurePattern, u64)| {
             let det = sih_detectors::SigmaS::new(s, &pattern, seed);
-            let scripts: Vec<Vec<sih_model::OpKind>> = (0..2)
-                .map(|i| {
-                    (0..6)
-                        .map(|j| {
-                            if (i + j) % 2 == 0 {
-                                sih_model::OpKind::Write(Value((i * 10 + j) as u64))
-                            } else {
-                                sih_model::OpKind::Read
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
+            // Two clients alternating writes of fresh values with reads.
+            let op = |i: u64, j: u64| match (i + j) % 2 {
+                0 => OpKind::Write(Value(i * 10 + j)),
+                _ => OpKind::Read,
+            };
+            let scripts = (0..2).map(|i| (0..6).map(|j| op(i, j)).collect()).collect();
             let procs = extracting(sih_registers::abd_processes(s, n, scripts));
             let sim = pool.acquire(procs, &pattern);
-            let mut sched = FairScheduler::new(seed);
-            sim.run_until(&mut sched, &det, max_steps * 2, |sim| {
+            sim.run_until(&mut FairScheduler::new(seed), &det, max_steps * 2, |sim| {
                 sim.pattern().correct().iter().all(|p| sim.process(p).inner().script_finished())
             });
             let tr = sim.trace();
-            let violated = check_sigma_s(tr.emulated_history(), &pattern, s).is_err();
-            (tr.total_steps(), tr.messages_sent(), violated)
+            let verdict = check_sigma_s(tr.emulated_history(), &pattern, s);
+            (tr.total_steps(), tr.messages_sent(), verdict.map_err(|e| e.to_string()))
         }
     });
-    for (steps, messages, violated) in samples {
-        stats.record(steps, messages, violated);
-    }
-    ExperimentReport {
-        id: "e15".into(),
-        title: "Σ extracted from the register's own message flow".into(),
-        paper_ref: "Proposition 1, necessity direction ([8],[10])".into(),
-        ok: stats.violations == 0,
-        outcome: "heard-from sets of completed operations form a legal Σ_S history".into(),
-        details: vec![],
-        stats: Some(stats),
-    }
+    fold(&mut stats, samples);
+    let outcome = "heard-from sets of completed operations form a legal Σ_S history";
+    swept(stats, outcome, vec![])
 }
 
-fn faults_matrix(cfg: &LabConfig) -> ExperimentReport {
-    let fcfg = crate::FaultsLabConfig {
-        n: cfg.n.max(3),
-        seeds: cfg.seeds,
-        max_steps: cfg.max_steps.max(400_000),
-        threads: cfg.threads,
-    };
-    let report = crate::run_faults_bench(&fcfg);
+fn faults_matrix(cfg: &LabConfig) -> Run {
+    let (n, seeds, max_steps, threads) =
+        (cfg.n.max(3), cfg.seeds, cfg.max_steps.max(400_000), cfg.threads);
+    let report = run_faults_bench(&FaultsLabConfig { n, seeds, max_steps, threads });
     let mut stats = RunStats::default();
     let mut details = Vec::new();
     for c in &report.cells {
@@ -668,25 +524,18 @@ fn faults_matrix(cfg: &LabConfig) -> ExperimentReport {
         "abd × permanent-blackout: starved={} after {} steps (budget {})",
         report.starved.starved, report.starved.steps, report.starved.budget
     ));
-    ExperimentReport {
-        id: "faults".into(),
-        title: "quorum algorithms degrade gracefully over faulty links".into(),
-        paper_ref: "§2.1 channel model, stressed".into(),
-        ok: report.ok(),
-        outcome: "safety under unrestricted link faults; liveness once the faults quiesce".into(),
+    Run::new(
+        report.ok(),
+        "safety under unrestricted link faults; liveness once the faults quiesce",
         details,
-        stats: Some(stats),
-    }
+        Some(stats),
+    )
 }
 
-fn byzantine_matrix(cfg: &LabConfig) -> ExperimentReport {
-    let bcfg = crate::ByzantineLabConfig {
-        n: cfg.n.max(3),
-        seeds: cfg.seeds,
-        max_steps: cfg.max_steps.clamp(10_000, 50_000),
-        threads: cfg.threads,
-    };
-    let report = crate::run_byzantine_bench(&bcfg);
+fn byzantine_matrix(cfg: &LabConfig) -> Run {
+    let (n, seeds, max_steps, threads) =
+        (cfg.n.max(3), cfg.seeds, cfg.max_steps.clamp(10_000, 50_000), cfg.threads);
+    let report = run_byzantine_bench(&ByzantineLabConfig { n, seeds, max_steps, threads });
     let mut stats = RunStats::default();
     let mut details = Vec::new();
     for c in &report.cells {
@@ -707,28 +556,19 @@ fn byzantine_matrix(cfg: &LabConfig) -> ExperimentReport {
             c.witness.map_or_else(String::new, |w| format!(", witness {w}")),
         ));
     }
-    ExperimentReport {
-        id: "byzantine".into(),
-        title: "minimum armor defeats each attack at its class rung".into(),
-        paper_ref: "beyond the model: authenticated channels assumed by §2.1, made explicit".into(),
-        ok: report.ok(),
-        outcome: "every attack defeated within its class's armor rung; sub-armor violations \
-                  witnessed in the corpus"
-            .into(),
+    Run::new(
+        report.ok(),
+        "every attack defeated within its class's armor rung; sub-armor violations \
+                  witnessed in the corpus",
         details,
-        stats: Some(stats),
-    }
+        Some(stats),
+    )
 }
 
-fn fuzz_smoke(cfg: &LabConfig) -> ExperimentReport {
-    let fcfg = crate::FuzzLabConfig {
-        seed: 0,
-        budget_schedules: (cfg.seeds * 96).clamp(96, 1024),
-        budget_ms: 0,
-        batch: 32,
-        threads: cfg.threads,
-    };
-    let report = crate::run_fuzz_bench(&fcfg, &[]);
+fn fuzz_smoke(cfg: &LabConfig) -> Run {
+    let (budget_schedules, threads) = ((cfg.seeds * 96).clamp(96, 1024), cfg.threads);
+    let fcfg = FuzzLabConfig { seed: 0, budget_schedules, budget_ms: 0, batch: 32, threads };
+    let report = run_fuzz_bench(&fcfg, &[]);
     let mut stats = RunStats::default();
     for s in &report.corpus {
         stats.record(s.choices.len() as u64, 0, false);
@@ -752,35 +592,27 @@ fn fuzz_smoke(cfg: &LabConfig) -> ExperimentReport {
             w.workload, w.verdict, w.shrink.original_len, w.shrink.final_len
         ));
     }
-    ExperimentReport {
-        id: "fuzz".into(),
-        title: "coverage-guided schedule fuzzing re-finds the planted violations".into(),
-        paper_ref: "harness tier: mutation search over the schedule space of §2.1 runs".into(),
-        ok: report.ok(),
-        outcome: format!(
+    Run::new(
+        report.ok(),
+        format!(
             "{} violations witnessed across {} workloads; every witness strict-replays",
             report.violations,
             report.witnesses.len()
         ),
         details,
-        stats: Some(stats),
-    }
+        Some(stats),
+    )
 }
 
-fn e14_footnote(cfg: &LabConfig) -> ExperimentReport {
+fn e14_footnote(cfg: &LabConfig) -> Run {
     let report = sih_reductions::two_process_equivalence(cfg.seeds.max(3));
-    ExperimentReport {
-        id: "e14".into(),
-        title: "n = 2: register and set agreement are equivalent".into(),
-        paper_ref: "Footnote 1 ([9])".into(),
-        ok: report.ok(),
-        outcome: report.to_string(),
-        details: vec![
-            "σ ⪯ Σ_{p,q} via Figure 3; Σ_{p,q} ⪯ σ via the mirror strategy (sound only at n=2)"
-                .into(),
-        ],
-        stats: None,
-    }
+    Run::new(
+        report.ok(),
+        report.to_string(),
+        vec!["σ ⪯ Σ_{p,q} via Figure 3; Σ_{p,q} ⪯ σ via the mirror strategy (sound only at n=2)"
+            .into()],
+        None,
+    )
 }
 
 #[cfg(test)]
@@ -791,6 +623,46 @@ mod tests {
         LabConfig { n: 4, k: 1, seeds: 1, max_steps: 150_000, ..LabConfig::default() }
     }
 
+    /// FNV-1a digest of a report's outcome line, details and `Debug` of
+    /// its stats — the same fields perfbench's `claims` counters hash.
+    fn digest(r: &ExperimentReport) -> u64 {
+        let mut h = sih_runtime::Fnv64::new();
+        h.write(r.outcome.as_bytes());
+        for d in &r.details {
+            h.write_u8(0);
+            h.write(d.as_bytes());
+        }
+        h.write_debug(&r.stats);
+        h.finish()
+    }
+
+    /// Each experiment's digest at [`tiny`]; any change to a verdict,
+    /// detail line or run statistic moves it.
+    const DIGESTS: [(&str, u64); 18] = [
+        ("e1", 0x8033f83cd0018b46),
+        ("e2", 0xaf25c90c71e69e6a),
+        ("e3", 0x287e72d39124c0a5),
+        ("e4", 0x572b607abc03c332),
+        ("e5", 0x3bc2a53b57319cc6),
+        ("e6", 0x25b5fab7a98c78e5),
+        ("e7", 0x2a8963e1db1d3856),
+        ("e8", 0xc75c3811da053e6f),
+        ("e9", 0x87b27a8eb453a325),
+        ("e10", 0xf04e9afb34b4f908),
+        ("e11", 0x016f1917e5ee2caf),
+        ("e12", 0x8a069311ce168070),
+        ("e13", 0xbf1cc57bcc0470b6),
+        ("e14", 0xf9aed0fa1411dd3e),
+        ("e15", 0x16a386667512ad44),
+        ("faults", 0x6d3d653705691af6),
+        ("byzantine", 0x95bbb3ecd2942b52),
+        ("fuzz", 0xd0451aef36781738),
+    ];
+
+    fn pinned(id: &str) -> u64 {
+        DIGESTS.iter().find(|(d, _)| *d == id).map(|(_, h)| *h).expect("every id is pinned")
+    }
+
     #[test]
     fn every_experiment_id_runs_and_is_ok() {
         // E12 re-runs all claims and is covered separately (slower).
@@ -798,6 +670,7 @@ mod tests {
             let report = run_experiment(id, &tiny());
             assert!(report.ok, "{id}: {report}");
             assert_eq!(report.id, *id);
+            assert_eq!(digest(&report), pinned(id), "{id}: {report}");
         }
     }
 
@@ -806,6 +679,14 @@ mod tests {
         let report = run_experiment("e12", &tiny());
         assert!(report.ok, "{report}");
         assert_eq!(report.details.len(), Claim::ALL.len());
+        assert_eq!(digest(&report), pinned("e12"), "{report}");
+    }
+
+    #[test]
+    fn experiment_ids_are_unique() {
+        for (i, id) in EXPERIMENT_IDS.iter().enumerate() {
+            assert!(!EXPERIMENT_IDS[i + 1..].contains(id), "{id} has two rows");
+        }
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! so the JSON is bitwise identical for any `--threads`.
 
 use crate::json::{ObjectBuilder, Value};
+use crate::matrix::{degraded_verdict, MATRIX};
 use sih::pipeline::{Algorithm, RunPool, RunSpec};
-use sih_agreement::{check_k_set_agreement_degraded, distinct_proposals};
-use sih_model::{FailurePattern, LinkFaultPlan, OpKind, ProcessId, ProcessSet, Time};
-use sih_registers::check_linearizable_degraded;
-use sih_runtime::sweep::Sweep;
-use sih_runtime::{LivenessVerdict, RunOutcome, StopReason, Trace, TraceLevel};
+use sih_model::{
+    FailurePattern, LinkFaultPlan, LinkFaultPlanBuilder, OpKind, ProcessId, ProcessSet, Time,
+};
+use sih_runtime::sweep::{with_seeds, Sweep};
+use sih_runtime::{LivenessVerdict, StopReason, TraceLevel};
 use std::fmt;
 use std::time::Instant;
 
@@ -39,57 +40,44 @@ impl Default for FaultsLabConfig {
     }
 }
 
-/// The three workloads of the matrix.
-const WORKLOADS: [&str; 3] = ["fig2", "fig4", "abd"];
+/// The three fault scenarios of the matrix (all with finite quiescence):
+/// name and plan for a system of `n` processes.
+const SCENARIOS: &[(&str, Plan)] = &[
+    // Every directed link drops every other message until t=600.
+    ("lossy", |n| every_link(n, |b, s, d| b.drop_every(s, d, 2, 0, Time::ZERO, Some(Time(600))))),
+    // Every directed link duplicates every other message until t=600.
+    ("duplicating", |n| {
+        every_link(n, |b, s, d| b.duplicate_every(s, d, 2, 1, Time::ZERO, Some(Time(600))))
+    }),
+    // {p0} cut off from everyone until t=400, then healed.
+    ("partition-healed", |n| {
+        let p0 = ProcessSet::singleton(ProcessId(0));
+        LinkFaultPlan::builder(n).partition(p0, Time::ZERO, Some(Time(400))).build()
+    }),
+];
 
-/// The three fault scenarios of the matrix (all with finite quiescence).
-const SCENARIOS: [&str; 3] = ["lossy", "duplicating", "partition-healed"];
+/// A scenario's plan for a system of `n` processes.
+type Plan = fn(usize) -> LinkFaultPlan;
 
-/// Builds the named scenario's plan for a system of `n` processes.
-fn scenario_plan(scenario: &str, n: usize) -> LinkFaultPlan {
-    let until = Time(600);
-    match scenario {
-        "lossy" => {
-            // Every directed link drops every other message until t=600.
-            let mut b = LinkFaultPlan::builder(n);
-            for src in 0..n as u32 {
-                for dst in 0..n as u32 {
-                    b = b.drop_every(ProcessId(src), ProcessId(dst), 2, 0, Time::ZERO, Some(until));
-                }
-            }
-            b.build()
+/// A plan applying `rule` to every directed link `src → dst` (self-links
+/// included).
+fn every_link(
+    n: usize,
+    rule: impl Fn(LinkFaultPlanBuilder, ProcessId, ProcessId) -> LinkFaultPlanBuilder,
+) -> LinkFaultPlan {
+    let mut b = LinkFaultPlan::builder(n);
+    for src in 0..n as u32 {
+        for dst in 0..n as u32 {
+            b = rule(b, ProcessId(src), ProcessId(dst));
         }
-        "duplicating" => {
-            // Every directed link duplicates every other message.
-            let mut b = LinkFaultPlan::builder(n);
-            for src in 0..n as u32 {
-                for dst in 0..n as u32 {
-                    b = b.duplicate_every(
-                        ProcessId(src),
-                        ProcessId(dst),
-                        2,
-                        1,
-                        Time::ZERO,
-                        Some(until),
-                    );
-                }
-            }
-            b.build()
-        }
-        "partition-healed" => {
-            // {p0} cut off from everyone until t=400, then healed.
-            LinkFaultPlan::builder(n)
-                .partition(ProcessSet::singleton(ProcessId(0)), Time::ZERO, Some(Time(400)))
-                .build()
-        }
-        other => panic!("unknown fault scenario {other:?}"),
     }
+    b.build()
 }
 
 /// Accumulated result of one (workload, scenario) cell of the matrix.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultCell {
-    /// Which algorithm ran (`"fig2"`, `"fig4"`, `"abd"`).
+    /// Which matrix workload ran.
     pub workload: &'static str,
     /// Which plan it ran under (`"lossy"`, `"duplicating"`,
     /// `"partition-healed"`).
@@ -257,52 +245,6 @@ impl fmt::Display for FaultsBenchReport {
     }
 }
 
-/// One run's contribution to its cell: `(verdict, outcome)` folded
-/// serially in canonical grid order.
-type CellSample = (usize, Result<LivenessVerdict, String>, RunOutcome);
-
-/// The algorithm behind a matrix workload name (`"fig2"`, `"fig4"`,
-/// `"abd"`), shared by the faults and byzantine matrices.
-pub(crate) fn matrix_algorithm(workload: &str) -> Algorithm {
-    let pair = ProcessSet::from_iter([0, 1].map(ProcessId));
-    match workload {
-        "fig2" => Algorithm::Fig2 { a0: ProcessId(0), a1: ProcessId(1) },
-        "fig4" => Algorithm::Fig4 { active: pair },
-        "abd" => Algorithm::Abd {
-            s: pair,
-            scripts: vec![
-                vec![OpKind::Write(sih_model::Value(1)), OpKind::Read],
-                vec![OpKind::Read, OpKind::Write(sih_model::Value(2)), OpKind::Read],
-            ],
-        },
-        other => unreachable!("matrix workload {other}"),
-    }
-}
-
-/// A matrix run's degraded verdict: `(n−1)`-set agreement for the
-/// agreement workloads, linearizability for ABD.
-pub(crate) fn degraded_verdict(
-    spec: &RunSpec,
-    tr: &Trace,
-    outcome: &RunOutcome,
-) -> Result<LivenessVerdict, String> {
-    let (pattern, n) = (&spec.pattern, spec.pattern.n());
-    match spec.algorithm {
-        Algorithm::Abd { .. } => {
-            check_linearizable_degraded(&tr.op_records(), None, pattern, outcome.reason)
-                .map_err(|e| e.to_string())
-        }
-        _ => check_k_set_agreement_degraded(
-            tr,
-            pattern,
-            &distinct_proposals(n),
-            n - 1,
-            outcome.reason,
-        )
-        .map_err(|e| e.to_string()),
-    }
-}
-
 /// Runs the full robustness matrix and the starvation leg.
 ///
 /// The matrix fans `(cell, seed)` across the sweep engine; each run's
@@ -316,20 +258,17 @@ pub fn run_faults_bench(cfg: &FaultsLabConfig) -> FaultsBenchReport {
     let pattern = FailurePattern::all_correct(n);
 
     // The canonical grid: every (workload, scenario) cell × every seed.
-    let mut grid: Vec<(usize, u64)> = Vec::new();
-    for cell in 0..WORKLOADS.len() * SCENARIOS.len() {
-        for seed in 0..cfg.seeds {
-            grid.push((cell, seed));
-        }
-    }
+    let grid = with_seeds(&(0..MATRIX.len() * SCENARIOS.len()).collect::<Vec<_>>(), cfg.seeds);
 
     let max_steps = cfg.max_steps;
-    let samples: Vec<CellSample> = Sweep::new(cfg.threads).run(grid, || {
+    let sweep = Sweep::new(cfg.threads);
+    let workers = sweep.effective_threads(grid.len());
+    let samples = sweep.run(grid, || {
         let mut pool = RunPool::with_trace_level(TraceLevel::Light);
         let pattern = pattern.clone();
         move |_idx, (cell, seed): (usize, u64)| {
-            let algorithm = matrix_algorithm(WORKLOADS[cell / SCENARIOS.len()]);
-            let plan = scenario_plan(SCENARIOS[cell % SCENARIOS.len()], n);
+            let algorithm = (MATRIX[cell / SCENARIOS.len()].algorithm)();
+            let plan = (SCENARIOS[cell % SCENARIOS.len()].1)(n);
             let spec =
                 RunSpec::new(algorithm, pattern.clone(), seed, max_steps).with_faults(plan, true);
             let (tr, outcome) = pool.run(&spec);
@@ -340,12 +279,10 @@ pub fn run_faults_bench(cfg: &FaultsLabConfig) -> FaultsBenchReport {
     // Fold in canonical grid order (the sweep returns results in item
     // order, and the sums are order-independent anyway).
     let mut cells: Vec<FaultCell> = Vec::new();
-    for workload in WORKLOADS {
-        for scenario in SCENARIOS {
-            let quiescence = scenario_plan(scenario, n)
-                .quiescence_time()
-                .expect("matrix scenarios all have finite quiescence")
-                .0;
+    for workload in MATRIX.iter().map(|w| w.name) {
+        for &(scenario, plan) in SCENARIOS {
+            let quiescence =
+                plan(n).quiescence_time().expect("matrix scenarios all have finite quiescence").0;
             cells.push(FaultCell { workload, scenario, quiescence, ..FaultCell::default() });
         }
     }
@@ -383,10 +320,6 @@ pub fn run_faults_bench(cfg: &FaultsLabConfig) -> FaultsBenchReport {
         dropped: outcome.dropped,
     };
 
-    let workers = match cfg.threads {
-        0 => std::thread::available_parallelism().map_or(1, usize::from),
-        t => t,
-    };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     FaultsBenchReport { cfg: *cfg, workers, cells, starved, wall_ms }
 }

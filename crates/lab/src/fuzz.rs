@@ -31,7 +31,7 @@
 use crate::json::{ObjectBuilder, Value};
 use crate::repro::{
     read_schedule_dir, record_any, replay, replay_with_fingerprints, shrink, RecordRequest,
-    ReplayMode, BYZ_WORKLOADS,
+    ReplayMode, BYZ_WORKLOADS, WORKLOADS,
 };
 use sih_runtime::fuzz::{crossover, mutate, Coverage, FuzzCorpus, FuzzRng, MutOp, MutatorConfig};
 use sih_runtime::sweep::Sweep;
@@ -40,12 +40,11 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::time::Instant;
 
-/// The workloads the fuzzer targets: the three weakened twins (whose
-/// planted soundness holes give mutants something to find) and one
-/// byzantine workload (whose adversary fields exercise the gated v2
-/// operators).
-pub const FUZZ_WORKLOADS: &[&str] =
-    &["fig2-weak-sigma", "fig4-weak-sigma-k", "abd-weak-quorum", "fig2-byz-perturb"];
+/// The workloads the fuzzer targets, in registry order (see
+/// [`Defaults::fuzz`](crate::repro::Defaults::fuzz)).
+fn fuzz_workloads() -> impl Iterator<Item = &'static str> {
+    WORKLOADS.iter().filter(|w| w.defaults.fuzz).map(|w| w.name)
+}
 
 /// Base-corpus recordings per workload (fair-scheduler seeds `0..N`).
 const SEEDS_PER_WORKLOAD: u64 = 3;
@@ -151,7 +150,7 @@ impl FuzzBenchReport {
             .field("batch", self.cfg.batch)
             .field("threads", self.cfg.threads)
             .field("workers", self.workers)
-            .field("workloads", FUZZ_WORKLOADS.iter().map(|w| Value::from(*w)).collect::<Vec<_>>())
+            .field("workloads", fuzz_workloads().map(Value::from).collect::<Vec<_>>())
             .field("seeds_loaded", self.seeds_loaded)
             .field("executed", self.executed)
             .field("batches", self.batches)
@@ -221,7 +220,7 @@ pub fn load_seed_schedules(dir: &std::path::Path) -> std::io::Result<Vec<Schedul
     Ok(read_schedule_dir(dir)?
         .iter()
         .filter_map(|(_, text)| Schedule::parse(text).ok())
-        .filter(|s| FUZZ_WORKLOADS.contains(&s.checker.as_str()))
+        .filter(|s| fuzz_workloads().any(|w| w == s.checker))
         .collect())
 }
 
@@ -235,9 +234,56 @@ fn workload_key(checker: &str) -> u64 {
 /// One evaluation job: parent corpus index (`None` for base seeds) and
 /// the candidate schedule.
 type Job = (Option<usize>, Schedule);
-/// One evaluation result: the job plus the replay outcome (`None` if
-/// the workload rejected the candidate's parameters).
-type Eval = (Option<usize>, Schedule, Option<crate::repro::FingerprintReplay>);
+
+/// A fuzzing campaign's state, merged serially in job order.
+#[derive(Default)]
+struct Campaign {
+    coverage: Coverage,
+    corpus: FuzzCorpus,
+    executed: u64,
+    violations: u64,
+    witness_keys: BTreeSet<(String, String)>,
+    raw_witnesses: Vec<Schedule>,
+    /// The widest job list fanned out (decides the workers used).
+    widest: usize,
+}
+
+impl Campaign {
+    /// Replays `jobs` across the sweep engine, then merges the results
+    /// serially in job order — coverage observation, corpus insertion,
+    /// parent reward and witness capture: the determinism pivot.
+    fn evaluate(&mut self, sweep: &Sweep, jobs: Vec<Job>) {
+        self.widest = self.widest.max(jobs.len());
+        let evals = sweep.run(jobs, || {
+            |_idx, (parent, s): Job| {
+                let rep = replay_with_fingerprints(&s, ReplayMode::Lenient).ok();
+                (parent, s, rep)
+            }
+        });
+        for (parent, cand, rep) in evals {
+            self.executed += 1;
+            let Some(rep) = rep else { continue };
+            let key = workload_key(&cand.checker);
+            let novel = self.coverage.observe(rep.fingerprints.iter().map(|fp| key ^ fp));
+            // Canonical form: the actually-executed legal subsequence,
+            // which strict-replays to the same verdict (DESIGN.md §10).
+            let canonical = Schedule { choices: rep.executed, verdict: rep.verdict, ..cand };
+            if canonical.verdict != "ok" {
+                self.violations += 1;
+                let k = (canonical.checker.clone(), canonical.verdict.clone());
+                if self.witness_keys.insert(k) {
+                    self.raw_witnesses.push(canonical.clone());
+                }
+            }
+            let kept = novel > 0 && !canonical.choices.is_empty();
+            if kept && self.corpus.push(canonical, novel).is_some() {
+                if let Some(p) = parent {
+                    self.corpus.reward(p);
+                }
+            }
+        }
+    }
+}
 
 /// Runs the fuzzer: seeds the corpus (fresh fair-scheduler recordings
 /// of every target workload, plus `extra_seeds`, e.g. the committed
@@ -248,17 +294,12 @@ pub fn run_fuzz_bench(cfg: &FuzzLabConfig, extra_seeds: &[Schedule]) -> FuzzBenc
     let t0 = Instant::now();
     let sweep = Sweep::new(cfg.threads);
     let mut rng = FuzzRng::new(cfg.seed);
-    let mut coverage = Coverage::new();
-    let mut corpus = FuzzCorpus::new();
-    let mut executed = 0u64;
+    let mut c = Campaign::default();
     let mut batches = 0u64;
-    let mut violations = 0u64;
-    let mut witness_keys: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut raw_witnesses: Vec<Schedule> = Vec::new();
 
     // ---- base corpus: fresh recordings + caller-supplied seeds ----
     let mut seed_jobs: Vec<Job> = Vec::new();
-    for name in FUZZ_WORKLOADS {
+    for name in fuzz_workloads() {
         for seed in 0..SEEDS_PER_WORKLOAD {
             let mut req = RecordRequest::new(name);
             req.seed = seed;
@@ -269,67 +310,14 @@ pub fn run_fuzz_bench(cfg: &FuzzLabConfig, extra_seeds: &[Schedule]) -> FuzzBenc
     }
     seed_jobs.extend(extra_seeds.iter().map(|s| (None, s.clone())));
     let seeds_loaded = seed_jobs.len() as u64;
-
-    let evaluate = |sweep: &Sweep, jobs: Vec<Job>| -> Vec<Eval> {
-        sweep.run(jobs, || {
-            |_idx, (parent, s): Job| {
-                let rep = replay_with_fingerprints(&s, ReplayMode::Lenient).ok();
-                (parent, s, rep)
-            }
-        })
-    };
-
-    // The serial merge: coverage observation, corpus insertion, parent
-    // reward and witness capture, in job order — the determinism pivot.
-    let merge = |evals: Vec<Eval>,
-                 coverage: &mut Coverage,
-                 corpus: &mut FuzzCorpus,
-                 executed: &mut u64,
-                 violations: &mut u64,
-                 witness_keys: &mut BTreeSet<(String, String)>,
-                 raw_witnesses: &mut Vec<Schedule>| {
-        for (parent, cand, rep) in evals {
-            *executed += 1;
-            let Some(rep) = rep else { continue };
-            let key = workload_key(&cand.checker);
-            let novel = coverage.observe(rep.fingerprints.iter().map(|fp| key ^ fp));
-            // Canonical form: the actually-executed legal subsequence,
-            // which strict-replays to the same verdict (DESIGN.md §10).
-            let canonical =
-                Schedule { choices: rep.executed.clone(), verdict: rep.verdict.clone(), ..cand };
-            if rep.verdict != "ok" {
-                *violations += 1;
-                let k = (canonical.checker.clone(), canonical.verdict.clone());
-                if witness_keys.insert(k) {
-                    raw_witnesses.push(canonical.clone());
-                }
-            }
-            if novel > 0 && !canonical.choices.is_empty() && corpus.push(canonical, novel).is_some()
-            {
-                if let Some(p) = parent {
-                    corpus.reward(p);
-                }
-            }
-        }
-    };
-
-    let seed_evals = evaluate(&sweep, seed_jobs);
-    merge(
-        seed_evals,
-        &mut coverage,
-        &mut corpus,
-        &mut executed,
-        &mut violations,
-        &mut witness_keys,
-        &mut raw_witnesses,
-    );
+    c.evaluate(&sweep, seed_jobs);
 
     // ---- batched breed / evaluate / merge loop ----
-    while executed < cfg.budget_schedules && !corpus.is_empty() {
+    while c.executed < cfg.budget_schedules && !c.corpus.is_empty() {
         if cfg.budget_ms > 0 && t0.elapsed().as_millis() as u64 >= cfg.budget_ms {
             break;
         }
-        let want = (cfg.budget_schedules - executed).min(cfg.batch as u64) as usize;
+        let want = (cfg.budget_schedules - c.executed).min(cfg.batch as u64) as usize;
         // Swarm: each batch fuzzes with a random subset of the operator
         // alphabet (always keeping at least one universally-applicable
         // choice-script operator enabled).
@@ -346,14 +334,14 @@ pub fn run_fuzz_bench(cfg: &FuzzLabConfig, extra_seeds: &[Schedule]) -> FuzzBenc
 
         let mut jobs: Vec<Job> = Vec::with_capacity(want);
         while jobs.len() < want {
-            let Some(pidx) = corpus.pick(&mut rng) else { break };
-            let parent = corpus.entries()[pidx].schedule.clone();
+            let Some(pidx) = c.corpus.pick(&mut rng) else { break };
+            let parent = c.corpus.entries()[pidx].schedule.clone();
             let allow = BYZ_WORKLOADS.contains(&parent.checker.as_str());
             let mcfg = MutatorConfig::for_schedule(&parent, allow);
             let mut cand: Option<Schedule> = None;
             if rng.chance(1, CROSSOVER_ONE_IN) {
-                if let Some(other) = corpus.pick(&mut rng) {
-                    let mate = &corpus.entries()[other].schedule;
+                if let Some(other) = c.corpus.pick(&mut rng) {
+                    let mate = &c.corpus.entries()[other].schedule;
                     cand = crossover(&parent, mate, &mcfg, &mut rng);
                 }
             }
@@ -380,21 +368,13 @@ pub fn run_fuzz_bench(cfg: &FuzzLabConfig, extra_seeds: &[Schedule]) -> FuzzBenc
         if jobs.is_empty() {
             break;
         }
-        let evals = evaluate(&sweep, jobs);
-        merge(
-            evals,
-            &mut coverage,
-            &mut corpus,
-            &mut executed,
-            &mut violations,
-            &mut witness_keys,
-            &mut raw_witnesses,
-        );
+        c.evaluate(&sweep, jobs);
         batches += 1;
     }
 
     // ---- shrink the first violation of each class into a witness ----
-    let witnesses: Vec<FuzzWitness> = raw_witnesses
+    let witnesses: Vec<FuzzWitness> = c
+        .raw_witnesses
         .into_iter()
         .map(|s| {
             let (shrunk, report) = shrink(&s).expect("witness workload is registered");
@@ -407,21 +387,18 @@ pub fn run_fuzz_bench(cfg: &FuzzLabConfig, extra_seeds: &[Schedule]) -> FuzzBenc
         })
         .collect();
 
-    let workers = match cfg.threads {
-        0 => std::thread::available_parallelism().map_or(1, usize::from),
-        t => t,
-    };
+    let workers = sweep.effective_threads(c.widest);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     FuzzBenchReport {
         cfg: *cfg,
         workers,
         seeds_loaded,
-        executed,
+        executed: c.executed,
         batches,
-        distinct_fingerprints: coverage.len(),
-        violations,
-        corpus: corpus.entries().iter().map(|e| e.schedule.clone()).collect(),
-        corpus_digest: corpus.digest(),
+        distinct_fingerprints: c.coverage.len(),
+        violations: c.violations,
+        corpus: c.corpus.entries().iter().map(|e| e.schedule.clone()).collect(),
+        corpus_digest: c.corpus.digest(),
         witnesses,
         wall_ms,
     }

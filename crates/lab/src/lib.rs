@@ -29,21 +29,19 @@ mod explore;
 mod faults;
 mod fuzz;
 pub mod json;
+mod matrix;
 mod report;
 pub mod repro;
 mod scale;
 
 pub use byzantine::{
-    cell_witness, run_byzantine_bench, ByzantineBenchReport, ByzantineCell, ByzantineLabConfig,
-    RungStats,
+    run_byzantine_bench, ByzantineBenchReport, ByzantineCell, ByzantineLabConfig, RungStats,
 };
-pub use experiments::{run_experiment, LabConfig, EXPERIMENT_IDS};
+pub use experiments::{run_experiment, Experiment, LabConfig, EXPERIMENTS, EXPERIMENT_IDS};
 pub use explore::{run_explore_bench, ExploreBenchReport, ExploreLabConfig};
 pub use faults::{run_faults_bench, FaultCell, FaultsBenchReport, FaultsLabConfig, StarvedLeg};
-pub use fuzz::{
-    load_seed_schedules, run_fuzz_bench, FuzzBenchReport, FuzzLabConfig, FuzzWitness,
-    FUZZ_WORKLOADS,
-};
+pub use fuzz::{load_seed_schedules, run_fuzz_bench, FuzzBenchReport, FuzzLabConfig, FuzzWitness};
+pub use matrix::Attack;
 pub use report::{ExperimentReport, RunStats};
 pub use scale::{run_scale_bench, ScaleBenchReport, ScaleCell, ScaleLabConfig};
 

@@ -63,7 +63,7 @@ impl fmt::Display for RunStats {
 /// One experiment's report (one `E*` id of DESIGN.md / EXPERIMENTS.md).
 #[derive(Clone, Debug)]
 pub struct ExperimentReport {
-    /// Experiment id (`"e1"` … `"e12"`).
+    /// Experiment id (one of [`EXPERIMENT_IDS`](crate::EXPERIMENT_IDS)).
     pub id: String,
     /// Human title.
     pub title: String,

@@ -89,6 +89,11 @@ pub struct Defaults {
     /// whose reconstruction rejects a non-default adversary plan, attack
     /// or armor rung instead of silently ignoring it.
     pub adversary: Option<fn(usize) -> AdversaryConfig>,
+    /// Whether the schedule fuzzer seeds its corpus with fresh recordings
+    /// of the workload: the weakened twins, whose planted soundness holes
+    /// give mutants something to find, and one byzantine workload, whose
+    /// adversary fields exercise the gated v2 operators.
+    pub fuzz: bool,
 }
 
 /// A mutation plan, scripted attack and armor rung.
@@ -102,6 +107,7 @@ const HONEST: Defaults = Defaults {
     pattern: FailurePattern::all_correct,
     faults: LinkFaultPlan::reliable,
     adversary: None,
+    fuzz: false,
 };
 
 /// The register workloads' record defaults.
@@ -129,7 +135,7 @@ pub const WORKLOADS: &[Workload] = &[
         name: "fig2-weak-sigma",
         summary: "Fig. 2 under σ with intersection disabled (R1 negative witness)",
         expect_ok: false,
-        defaults: HONEST,
+        defaults: Defaults { fuzz: true, ..HONEST },
         min_n: |_| 2,
         run: |s, m| {
             let fd = WeakSigma::new(P0, P1);
@@ -152,7 +158,7 @@ pub const WORKLOADS: &[Workload] = &[
         name: "fig4-weak-sigma-k",
         summary: "Fig. 4 under σ_2k with intersection disabled (R4 negative witness)",
         expect_ok: false,
-        defaults: Defaults { n: 4, ..HONEST },
+        defaults: Defaults { n: 4, fuzz: true, ..HONEST },
         min_n: |k| (2 * k).max(2),
         run: |s, m| {
             let (procs, active) = fig4(s)?;
@@ -188,6 +194,7 @@ pub const WORKLOADS: &[Workload] = &[
                 }
                 b.build()
             },
+            fuzz: true,
             ..ABD
         },
         min_n: |_| 2,
@@ -241,7 +248,7 @@ pub const WORKLOADS: &[Workload] = &[
         expect_ok: false,
         // Perturbing p0's traffic to p1 injects a never-proposed value
         // into the decision flood: a validity violation at p1.
-        defaults: Defaults { adversary: Some(perturb_p0_p1), ..HONEST },
+        defaults: Defaults { adversary: Some(perturb_p0_p1), fuzz: true, ..HONEST },
         min_n: |_| 2,
         run: |s, m| {
             let fd = Sigma::new(P0, P1, &s.pattern, s.seed);

@@ -24,10 +24,10 @@
 use crate::json::{ObjectBuilder, Value as Json};
 use sih_agreement::{distinct_proposals, fig2_processes, fig4_processes};
 use sih_detectors::{Sigma, SigmaK};
-use sih_model::{FailurePattern, NoDetector, OpKind, ProcessId, ProcessSet};
+use sih_model::{FailureDetector, FailurePattern, NoDetector, OpKind, ProcessId, ProcessSet};
 use sih_registers::{abd_processes_with_rule, check_linearizable, QuorumRule};
 use sih_runtime::sweep::Sweep;
-use sih_runtime::{Simulation, StopReason, TraceLevel};
+use sih_runtime::{Automaton, RunOutcome, Simulation, StopReason, TraceLevel};
 use std::fmt;
 use std::time::Instant;
 
@@ -54,8 +54,24 @@ impl Default for ScaleLabConfig {
     }
 }
 
-/// The three workloads of the tier.
-const WORKLOADS: [&str; 3] = ["abd", "fig2", "fig4"];
+/// The three workloads of the tier, in report order: name and cell
+/// runner (`(name, n, sample)`).
+const WORKLOADS: &[(&str, CellRunner)] = &[
+    ("abd", |name, n, _| run_abd_cell(name, n)),
+    ("fig2", |name, n, sample| {
+        let pattern = FailurePattern::all_correct(n);
+        let sigma = Sigma::new(ProcessId(0), ProcessId(1), &pattern, 0);
+        run_agreement_cell(name, fig2_processes(&distinct_proposals(n)), pattern, &sigma, sample)
+    }),
+    ("fig4", |name, n, sample| {
+        let pattern = FailurePattern::all_correct(n);
+        let sigma_2k = SigmaK::new((0..4u32).map(ProcessId).collect(), &pattern, 0);
+        run_agreement_cell(name, fig4_processes(&distinct_proposals(n)), pattern, &sigma_2k, sample)
+    }),
+];
+
+/// Runs one `(workload, n)` cell of the ladder.
+type CellRunner = fn(&'static str, usize, usize) -> ScaleCell;
 
 /// The ladder of system sizes for `cfg`.
 fn rungs(cfg: &ScaleLabConfig) -> Vec<usize> {
@@ -215,10 +231,31 @@ fn reason_str(reason: StopReason) -> &'static str {
     }
 }
 
+impl ScaleCell {
+    /// A cell from its run's outcome and harness heap, timed from `t0`;
+    /// the workload-specific counters start at zero.
+    fn new(workload: &'static str, n: usize, o: &RunOutcome, heap_bytes: u64, t0: Instant) -> Self {
+        ScaleCell {
+            workload,
+            n,
+            steps: o.steps,
+            sent: o.sent,
+            delivered: o.delivered,
+            in_flight: o.in_flight,
+            decided: 0,
+            ops_complete: 0,
+            violations: 0,
+            reason: reason_str(o.reason),
+            heap_bytes,
+            bytes_per_process: heap_bytes / n as u64,
+            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        }
+    }
+}
+
 /// The ABD leg: scripted clients at `{p0, p1}` over `n` majority-quorum
 /// replicas, run to script completion and checked linearizable.
-fn run_abd_cell(n: usize, sample: usize) -> ScaleCell {
-    let _ = sample;
+fn run_abd_cell(workload: &'static str, n: usize) -> ScaleCell {
     let t0 = Instant::now();
     let pattern = FailurePattern::all_correct(n);
     let s = ProcessSet::from_iter([0, 1].map(ProcessId));
@@ -248,68 +285,33 @@ fn run_abd_cell(n: usize, sample: usize) -> ScaleCell {
         violations += 1;
     }
     ScaleCell {
-        workload: "abd",
-        n,
-        steps: outcome.steps,
-        sent: outcome.sent,
-        delivered: outcome.delivered,
-        in_flight: outcome.in_flight,
-        decided: 0,
         ops_complete: complete,
         violations,
-        reason: reason_str(outcome.reason),
-        heap_bytes: heap,
-        bytes_per_process: heap / n as u64,
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        ..ScaleCell::new(workload, n, &outcome, heap, t0)
     }
 }
 
 /// An agreement leg: run until `sample` decisions are on the trace.
 /// Non-active processes flood their own value at their first step, so
 /// decisions (and their Θ(n) fan-outs) accumulate from the kickoff on.
-fn run_agreement_cell(workload: &'static str, n: usize, sample: usize) -> ScaleCell {
+fn run_agreement_cell<A: Automaton, D: FailureDetector>(
+    workload: &'static str,
+    procs: Vec<A>,
+    pattern: FailurePattern,
+    detector: &D,
+    sample: usize,
+) -> ScaleCell {
     let t0 = Instant::now();
-    let pattern = FailurePattern::all_correct(n);
-    let proposals = distinct_proposals(n);
+    let n = procs.len();
     let budget = 32 * n as u64 + 100_000;
     let target = sample.min(n / 2);
-    let (outcome, heap, decided) = match workload {
-        "fig2" => {
-            let sigma = Sigma::new(ProcessId(0), ProcessId(1), &pattern, 0);
-            let mut sim = Simulation::new(fig2_processes(&proposals), pattern.clone())
-                .with_trace_level(TraceLevel::Light);
-            sim.set_script_recording(false);
-            let o =
-                sim.run_event_driven(&sigma, budget, |sim| sim.trace().decided_count() >= target);
-            (o, sim.harness_heap_bytes() as u64, sim.trace().decided_count() as u64)
-        }
-        "fig4" => {
-            let active: ProcessSet = (0..4u32).map(ProcessId).collect();
-            let sigma_2k = SigmaK::new(active, &pattern, 0);
-            let mut sim = Simulation::new(fig4_processes(&proposals), pattern.clone())
-                .with_trace_level(TraceLevel::Light);
-            sim.set_script_recording(false);
-            let o = sim
-                .run_event_driven(&sigma_2k, budget, |sim| sim.trace().decided_count() >= target);
-            (o, sim.harness_heap_bytes() as u64, sim.trace().decided_count() as u64)
-        }
-        other => panic!("unknown scale workload {other:?}"),
-    };
-    ScaleCell {
-        workload,
-        n,
-        steps: outcome.steps,
-        sent: outcome.sent,
-        delivered: outcome.delivered,
-        in_flight: outcome.in_flight,
-        decided,
-        ops_complete: 0,
-        violations: u64::from(decided < target as u64),
-        reason: reason_str(outcome.reason),
-        heap_bytes: heap,
-        bytes_per_process: heap / n as u64,
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-    }
+    let mut sim = Simulation::new(procs, pattern).with_trace_level(TraceLevel::Light);
+    sim.set_script_recording(false);
+    let outcome =
+        sim.run_event_driven(detector, budget, |sim| sim.trace().decided_count() >= target);
+    let (heap, decided) = (sim.harness_heap_bytes() as u64, sim.trace().decided_count() as u64);
+    let violations = u64::from(decided < target as u64);
+    ScaleCell { decided, violations, ..ScaleCell::new(workload, n, &outcome, heap, t0) }
 }
 
 /// Reads the process's peak RSS (`VmHWM`) in kiB; Linux only.
@@ -330,25 +332,17 @@ pub fn run_scale_bench(cfg: &ScaleLabConfig) -> ScaleBenchReport {
     let sample = cfg.sample;
 
     // Canonical cell order: workload-major, then ascending n.
-    let mut grid: Vec<(usize, usize)> = Vec::new();
-    for (w, _) in WORKLOADS.iter().enumerate() {
-        for &n in &ns {
-            grid.push((w, n));
-        }
-    }
-
-    let cells: Vec<ScaleCell> = Sweep::new(cfg.threads).run(grid, || {
-        move |_idx, (w, n): (usize, usize)| match WORKLOADS[w] {
-            "abd" => run_abd_cell(n, sample),
-            wl @ ("fig2" | "fig4") => run_agreement_cell(wl, n, sample),
-            other => unreachable!("workload {other}"),
+    let grid: Vec<(usize, usize)> =
+        (0..WORKLOADS.len()).flat_map(|w| ns.iter().map(move |&n| (w, n))).collect();
+    let sweep = Sweep::new(cfg.threads);
+    let workers = sweep.effective_threads(grid.len());
+    let cells: Vec<ScaleCell> = sweep.run(grid, || {
+        move |_idx, (w, n): (usize, usize)| {
+            let (name, run) = WORKLOADS[w];
+            run(name, n, sample)
         }
     });
 
-    let workers = match cfg.threads {
-        0 => std::thread::available_parallelism().map_or(1, usize::from),
-        t => t,
-    };
     ScaleBenchReport {
         cfg: *cfg,
         workers,

@@ -19,8 +19,34 @@ fn no_arguments_prints_usage_and_fails() {
 #[test]
 fn unknown_command_fails() {
     let out = lab().arg("e99").output().expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown command"), "{err}");
+    // The expected commands come from the experiment and bench tables.
+    for id in sih_lab::EXPERIMENT_IDS.iter().chain(&["all", "figure1", "explore", "scale"]) {
+        assert!(err.contains(id), "{id} missing from {err}");
+    }
+}
+
+#[test]
+fn out_of_range_configs_are_typed_errors_with_exit_2() {
+    for (args, flag) in [
+        (&["e12", "--n", "2"][..], "--n"),
+        (&["e12", "--n", "4", "--k", "3"], "--k"),
+        (&["e6", "--n", "4", "--k", "3"], "--k"),
+        (&["e5", "--n", "6", "--k", "0"], "--k"),
+        // k > n/2 once made X reach past n: a false refutation, not a panic.
+        (&["e5", "--n", "4", "--k", "3"], "--k"),
+        (&["faults", "--n", "2"], "--n"),
+        (&["byzantine", "--n", "2"], "--n"),
+        (&["fuzz", "--batch", "0"], "--batch"),
+    ] {
+        let out = lab().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with(&format!("error: {flag}: invalid value")), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting its config");
+    }
 }
 
 #[test]
@@ -120,6 +146,10 @@ fn help_prints_usage_and_succeeds() {
         // The usage is rendered from the flag table: every flag is listed.
         for listed in ["--n N", "--threads T", "--huge", "--json PATH", "--workload W"] {
             assert!(text.contains(listed), "{flag}: `{listed}` missing from {text}");
+        }
+        // …and every experiment from the experiment table.
+        for e in sih_lab::EXPERIMENTS {
+            assert!(text.contains(e.title), "{flag}: {} missing from {text}", e.id);
         }
     }
 }

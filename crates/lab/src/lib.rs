@@ -27,6 +27,8 @@ mod byzantine;
 mod experiments;
 mod explore;
 mod faults;
+#[cfg(test)]
+mod fingerprint_partition;
 mod fuzz;
 pub mod json;
 mod matrix;

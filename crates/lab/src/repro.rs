@@ -396,7 +396,7 @@ impl std::error::Error for ReproError {}
 
 /// How a workload run is driven through the schedule's choices.
 #[derive(Clone, Copy, Debug)]
-enum Mode {
+pub(crate) enum Mode {
     /// A fresh recording run under [`FairScheduler`] (the schedule's
     /// `seed` and `max_steps`; its choices are ignored).
     Fair,
@@ -408,12 +408,12 @@ enum Mode {
 }
 
 /// What a driven run produced.
-struct RunResult {
+pub(crate) struct RunResult {
     verdict: String,
     executed: Vec<Choice>,
     /// Per-step state fingerprints (only [`Mode::Coverage`] fills this;
     /// empty otherwise).
-    fingerprints: Vec<u64>,
+    pub(crate) fingerprints: Vec<u64>,
 }
 
 // ---- quiet panic capture ------------------------------------------------
@@ -505,6 +505,8 @@ where
                         break; // no step taken: halted, starved or exhausted
                     }
                     fps.push(sim.fingerprint());
+                    #[cfg(test)]
+                    crate::fingerprint_partition::observe(&sim);
                 }
             }
             Mode::Coverage(ReplayMode::Lenient) => {
@@ -525,6 +527,8 @@ where
                     if legal {
                         sim.step(c, fd);
                         fps.push(sim.fingerprint());
+                        #[cfg(test)]
+                        crate::fingerprint_partition::observe(&sim);
                     }
                 }
             }
@@ -628,7 +632,7 @@ fn perturb_p0_p1(n: usize) -> AdversaryConfig {
 /// Reconstructs the schedule's workload and drives it. Everything a
 /// schedule records — `n`, `k`, `seed`, pattern, faults, adversary plan,
 /// attack, armor — plus the mode fully determines the run.
-fn run_workload(s: &Schedule, mode: Mode) -> Result<RunResult, ReproError> {
+pub(crate) fn run_workload(s: &Schedule, mode: Mode) -> Result<RunResult, ReproError> {
     let w = workload(&s.checker).ok_or_else(|| ReproError::UnknownWorkload(s.checker.clone()))?;
     if s.pattern.n() != s.n || s.faults.n() != s.n || s.adversary.n() != s.n {
         return Err(ReproError::BadParams(format!(

@@ -185,3 +185,33 @@ fn failed_json_write_is_a_typed_error_with_exit_2() {
     assert!(err.starts_with("error: ") && err.contains("out.json"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
 }
+
+#[test]
+fn out_of_range_schedule_files_are_typed_errors_with_exit_2() {
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus/");
+    let abd = std::fs::read_to_string(format!("{corpus}abd-weak-quorum.schedule")).unwrap();
+    let fig2 = std::fs::read_to_string(format!("{corpus}fig2-byz-perturb.schedule")).unwrap();
+    let dir = std::env::temp_dir().join(format!("lab-cli-badsched-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, text) in [
+        abd.replace("n: 2", "n: 0"),
+        // The committed p0->p1 fault names a process a 1-process system lacks.
+        abd.replace("n: 2", "n: 1"),
+        abd.replace("n: 2", "n: 70"),
+        abd.replace("n: 2", "n: 99999999999"),
+        fig2.replace("n: 3", "n: 2\ncrash: p7 @3"),
+        fig2.replace("choice: p1 .", "choice: p5 ."),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path = dir.join(format!("bad-{i}.schedule"));
+        std::fs::write(&path, &text).unwrap();
+        let out = lab().args(["repro", "replay"]).arg(&path).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "case {i}: {err}");
+        assert!(err.starts_with("error: ") && err.contains("line "), "case {i}: {err}");
+        assert!(!err.contains("panicked"), "case {i}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

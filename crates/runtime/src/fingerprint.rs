@@ -103,6 +103,15 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Hash of a value's `Debug` rendering in one call: the 64-bit digest
+/// the state fingerprint caches for a compound section (an automaton,
+/// the emulated history, an installed plan).
+pub(crate) fn debug_digest<T: fmt::Debug>(value: &T) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_debug(value);
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

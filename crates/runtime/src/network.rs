@@ -25,7 +25,7 @@
 // indexed by ProcessId and link ids validated at construction; Fenwick offsets stay in range
 // by the tree's size invariant (see ArrivalQueue docs).
 use crate::automaton::{Envelope, MsgId};
-use crate::fingerprint::Fnv64;
+use crate::fingerprint::{debug_digest, Fnv64};
 use sih_model::{AdversaryPlan, Armor, LinkFaultPlan, MutationKind, ProcessId, SendFate, Time};
 use std::cell::Cell;
 use std::fmt;
@@ -337,6 +337,9 @@ impl<M> ArrivalQueue<M> {
 #[derive(Debug, PartialEq, Eq)]
 struct LinkFaultState {
     plan: LinkFaultPlan,
+    /// FNV-1a of `Debug(plan)`, taken at install: the plan never changes
+    /// afterwards, so fingerprints hash this instead of re-rendering it.
+    plan_fp: u64,
     /// `sends[src * n + dst]`: messages sent so far on that directed link
     /// (counting every attempt, delivered or dropped).
     sends: Vec<u64>,
@@ -344,11 +347,12 @@ struct LinkFaultState {
 
 impl Clone for LinkFaultState {
     fn clone(&self) -> Self {
-        LinkFaultState { plan: self.plan.clone(), sends: self.sends.clone() }
+        LinkFaultState { plan: self.plan.clone(), plan_fp: self.plan_fp, sends: self.sends.clone() }
     }
 
     fn clone_from(&mut self, source: &Self) {
         self.plan.clone_from(&source.plan);
+        self.plan_fp = source.plan_fp;
         self.sends.clone_from(&source.sends);
     }
 }
@@ -361,6 +365,9 @@ impl Clone for LinkFaultState {
 /// (default) case pays one pointer of space and a null check per send.
 struct AdversaryState<M> {
     plan: AdversaryPlan,
+    /// FNV-1a of `Debug(plan)`, taken at install (like
+    /// [`LinkFaultState`]'s).
+    plan_fp: u64,
     armor: Armor,
     /// `sends[src * n + dst]`: sends consulted so far on that directed
     /// link (independent of the link-fault counters; only sends that
@@ -383,6 +390,7 @@ impl<M: Clone> Clone for AdversaryState<M> {
     fn clone(&self) -> Self {
         AdversaryState {
             plan: self.plan.clone(),
+            plan_fp: self.plan_fp,
             armor: self.armor,
             sends: self.sends.clone(),
             stash: self.stash.clone(),
@@ -393,6 +401,7 @@ impl<M: Clone> Clone for AdversaryState<M> {
 
     fn clone_from(&mut self, source: &Self) {
         self.plan.clone_from(&source.plan);
+        self.plan_fp = source.plan_fp;
         self.armor = source.armor;
         self.sends.clone_from(&source.sends);
         self.stash.clone_from(&source.stash);
@@ -540,7 +549,7 @@ impl<M: fmt::Debug> Network<M> {
             for &k in &state.sends {
                 h.write_u64(k);
             }
-            h.write_debug(&state.plan);
+            h.write_u64(state.plan_fp);
         }
         // Mirror: adversary state is hashed only when installed, so both
         // reliable and faulty-but-honest fingerprints are unchanged.
@@ -561,7 +570,7 @@ impl<M: fmt::Debug> Network<M> {
                     }
                 }
             }
-            h.write_debug(&adv.plan);
+            h.write_u64(adv.plan_fp);
             h.write_u64(u64::from(adv.armor.rung()));
         }
     }
@@ -649,7 +658,8 @@ impl<M: Clone> Network<M> {
     pub fn set_link_faults(&mut self, plan: LinkFaultPlan) {
         assert_eq!(plan.n(), self.n(), "plan size must match the network");
         let links = self.n() * self.n();
-        self.faults = Some(Box::new(LinkFaultState { plan, sends: vec![0; links] }));
+        let plan_fp = debug_digest(&plan);
+        self.faults = Some(Box::new(LinkFaultState { plan, plan_fp, sends: vec![0; links] }));
     }
 
     /// The installed link-fault plan, if any.
@@ -678,6 +688,7 @@ impl<M: Clone> Network<M> {
             }
         }
         self.adversary = Some(Box::new(AdversaryState {
+            plan_fp: debug_digest(&plan),
             plan,
             armor,
             sends: vec![0; links],

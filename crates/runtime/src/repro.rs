@@ -72,7 +72,7 @@ use crate::scheduler::Choice;
 use crate::{Automaton, Simulation};
 use sih_model::{
     AdversaryPlan, Armor, AttackKind, AttackSpec, FailurePattern, LinkFault, LinkFaultPlan,
-    LinkFaultWindow, MutationKind, MutationWindow, ProcessId, Time,
+    LinkFaultWindow, MutationKind, MutationWindow, ProcessId, ProcessSet, Time,
 };
 use std::fmt;
 
@@ -287,7 +287,10 @@ impl Schedule {
     }
 
     /// Parses the versioned text format. Blank lines and `#` comments are
-    /// skipped; errors carry 1-based line numbers.
+    /// skipped; errors carry 1-based line numbers. `n` must lie in
+    /// `1..=64` (the cap of the plans and of [`ProcessSet`]) and every
+    /// process id in a crash, link, adversary or choice line must be
+    /// below `n`, so a parsed schedule can always be installed.
     pub fn parse(text: &str) -> Result<Schedule, ScheduleError> {
         let mut lines = text
             .lines()
@@ -303,7 +306,10 @@ impl Schedule {
         }
 
         let mut checker: Option<String> = None;
-        let mut n: Option<usize> = None;
+        let mut n: Option<(usize, u64)> = None;
+        // Every process id read, with its line, checked against `n` once
+        // the whole file (which may state `n` last) has been read.
+        let mut pids: Vec<(usize, ProcessId)> = Vec::new();
         let mut k: usize = 1;
         let mut seed: u64 = 0;
         let mut max_steps: Option<u64> = None;
@@ -323,24 +329,35 @@ impl Schedule {
             let rest = rest.trim();
             match key.trim() {
                 "checker" => checker = Some(rest.to_string()),
-                "n" => n = Some(parse_num(rest, lineno, "n")? as usize),
+                "n" => n = Some((lineno, parse_num(rest, lineno, "n")?)),
                 "k" => k = parse_num(rest, lineno, "k")? as usize,
                 "seed" => seed = parse_num(rest, lineno, "seed")?,
                 "max-steps" => max_steps = Some(parse_num(rest, lineno, "max-steps")?),
                 "verdict" => verdict = Some(rest.to_string()),
-                "crash-from-start" => crashes.push((parse_pid(rest, lineno)?, None)),
+                "crash-from-start" => {
+                    let p = parse_pid(rest, lineno)?;
+                    pids.push((lineno, p));
+                    crashes.push((p, None));
+                }
                 "crash" => {
                     let (p, t) = rest.split_once('@').ok_or_else(|| ScheduleError::Malformed {
                         line: lineno,
                         detail: format!("expected `crash: pI @ t`, got `{rest}`"),
                     })?;
-                    crashes.push((
-                        parse_pid(p.trim(), lineno)?,
-                        Some(Time(parse_num(t.trim(), lineno, "crash time")?)),
-                    ));
+                    let p = parse_pid(p.trim(), lineno)?;
+                    pids.push((lineno, p));
+                    crashes.push((p, Some(Time(parse_num(t.trim(), lineno, "crash time")?))));
                 }
-                "link" => windows.push(parse_window(rest, lineno)?),
-                "adversary" => adv_windows.push(parse_mutation(rest, lineno)?),
+                "link" => {
+                    let w = parse_window(rest, lineno)?;
+                    pids.extend([(lineno, w.src), (lineno, w.dst)]);
+                    windows.push(w);
+                }
+                "adversary" => {
+                    let w = parse_mutation(rest, lineno)?;
+                    pids.extend([(lineno, w.src), (lineno, w.dst)]);
+                    adv_windows.push(w);
+                }
                 "attack" => attack = Some(parse_attack(rest, lineno)?),
                 "armor" => {
                     let rung = parse_num(rest, lineno, "armor rung")?;
@@ -368,6 +385,7 @@ impl Schedule {
                         Some(".") | None => None,
                         Some(tok) => Some(parse_num(tok, lineno, "delivery index")? as usize),
                     };
+                    pids.push((lineno, p));
                     choices.push(Choice { p, deliver });
                 }
                 other => {
@@ -380,7 +398,23 @@ impl Schedule {
         }
 
         let checker = checker.ok_or(ScheduleError::MissingField { field: "checker" })?;
-        let n = n.ok_or(ScheduleError::MissingField { field: "n" })?;
+        let (n_line, n) = n.ok_or(ScheduleError::MissingField { field: "n" })?;
+        let max = ProcessSet::MAX_PROCESSES;
+        let n = match usize::try_from(n) {
+            Ok(n) if (1..=max).contains(&n) => n,
+            _ => {
+                return Err(ScheduleError::Malformed {
+                    line: n_line,
+                    detail: format!("n: {n} is outside 1..={max}"),
+                })
+            }
+        };
+        if let Some(&(line, p)) = pids.iter().find(|(_, p)| p.index() >= n) {
+            return Err(ScheduleError::Malformed {
+                line,
+                detail: format!("process {p} is out of range for n = {n}"),
+            });
+        }
         let max_steps = max_steps.ok_or(ScheduleError::MissingField { field: "max-steps" })?;
         let verdict = verdict.ok_or(ScheduleError::MissingField { field: "verdict" })?;
 
@@ -995,6 +1029,30 @@ mod tests {
                 "accepted: {bad}"
             );
         }
+    }
+
+    #[test]
+    fn out_of_range_sizes_and_process_ids_are_malformed() {
+        let head = "sih-schedule v2\nchecker: x\nmax-steps: 5\nverdict: ok\n";
+        for (body, line) in [
+            ("n: 0\n", 5),
+            ("n: 70\n", 5),
+            ("n: 99999999999\n", 5),
+            ("n: 1\nlink: drop p0->p1 0%1 @[0, 200)\n", 6),
+            ("n: 2\ncrash: p7 @3\n", 6),
+            ("n: 2\ncrash-from-start: p2\n", 6),
+            ("n: 2\nadversary: flip p3->p0 0%1 @[0, 5) x=1\n", 6),
+            ("n: 2\nchoice: p0 .\nchoice: p2 0\n", 7),
+            // `n` may follow the lines it bounds.
+            ("choice: p3 .\nn: 3\n", 5),
+        ] {
+            match Schedule::parse(&format!("{head}{body}")) {
+                Err(ScheduleError::Malformed { line: l, .. }) => assert_eq!(l, line, "{body}"),
+                other => panic!("{body}: expected Malformed, got {other:?}"),
+            }
+        }
+        let edge = format!("{head}n: 64\ncrash: p63 @1\nchoice: p0 .\n");
+        assert_eq!(Schedule::parse(&edge).map(|s| s.n), Ok(64));
     }
 
     #[test]

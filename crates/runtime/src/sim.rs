@@ -11,7 +11,7 @@
 // sih-analysis: allow(index-reachable) — procs/pending/decisions are n-sized arrays indexed
 // by ProcessId from the scheduler's own choice set, which is bounded by n at construction.
 use crate::automaton::{Automaton, Effects, SendOp, StepInput};
-use crate::fingerprint::Fnv64;
+use crate::fingerprint::{debug_digest, Fnv64};
 use crate::network::{Corruptible, Network};
 use crate::scheduler::{Choice, Scheduler};
 use crate::trace::{Trace, TraceLevel};
@@ -19,6 +19,7 @@ use sih_model::{
     AdversaryPlan, Armor, FailureDetector, FailurePattern, FdOutput, LinkFaultPlan, ProcSet,
     ProcessId, ProcessSet, Time,
 };
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -196,6 +197,11 @@ pub struct Simulation<A: Automaton> {
     scratch_pending: Vec<usize>,
     scratch_oldest_sent: Vec<Option<Time>>,
     scratch_oldest_idx: Vec<Option<usize>>,
+    // `proc_fps[i]`: memoized FNV-1a of `Debug(procs[i])` for the state
+    // fingerprint, `None` once process i has stepped since it was last
+    // hashed. Empty until the first `fingerprint` call, so runs that
+    // never fingerprint (scale, claims sweeps) allocate nothing for it.
+    proc_fps: RefCell<Vec<Option<u64>>>,
 }
 
 // Manual Clone so `clone_from` reuses every heap allocation of the
@@ -220,6 +226,7 @@ impl<A: Automaton + Clone> Clone for Simulation<A> {
             scratch_pending: self.scratch_pending.clone(),
             scratch_oldest_sent: self.scratch_oldest_sent.clone(),
             scratch_oldest_idx: self.scratch_oldest_idx.clone(),
+            proc_fps: self.proc_fps.clone(),
         }
     }
 
@@ -237,6 +244,7 @@ impl<A: Automaton + Clone> Clone for Simulation<A> {
         self.scratch_pending.clone_from(&source.scratch_pending);
         self.scratch_oldest_sent.clone_from(&source.scratch_oldest_sent);
         self.scratch_oldest_idx.clone_from(&source.scratch_oldest_idx);
+        self.proc_fps.get_mut().clone_from(&source.proc_fps.borrow());
     }
 }
 
@@ -275,6 +283,7 @@ impl<A: Automaton> Simulation<A> {
             scratch_pending: vec![0; n],
             scratch_oldest_sent: vec![None; n],
             scratch_oldest_idx: vec![None; n],
+            proc_fps: RefCell::new(Vec::new()),
         }
     }
 
@@ -333,6 +342,7 @@ impl<A: Automaton> Simulation<A> {
         self.scratch_oldest_sent.resize(n, None);
         self.scratch_oldest_idx.clear();
         self.scratch_oldest_idx.resize(n, None);
+        self.proc_fps.get_mut().clear();
     }
 
     /// System size.
@@ -582,6 +592,11 @@ impl<A: Automaton> Simulation<A> {
         eff.clear();
         let input = StepInput { me: p, n: self.n(), now: t, delivered, fd: fd_out };
         self.procs[p.index()].step(input, &mut eff);
+        // Only the stepping automaton changed; the cache is empty (and
+        // this is a no-op) until the first fingerprint.
+        if let Some(fp) = self.proc_fps.get_mut().get_mut(p.index()) {
+            *fp = None;
+        }
 
         let mut report = StepReport {
             decided: eff.decision.is_some(),
@@ -800,6 +815,27 @@ impl<A: Automaton + fmt::Debug> Simulation<A> {
     /// under a finite `max_deliveries` cap, whose menu is a
     /// content-order prefix) and is exactly what makes commuting-send
     /// diamonds collapse.
+    ///
+    /// **Cost.** Compound sections enter as cached 64-bit digests of
+    /// their `Debug` renderings, so a call re-renders only what changed
+    /// since the state was last fingerprinted:
+    ///
+    /// * per process, `FNV(Debug(automaton))`, invalidated when that
+    ///   process steps (one stepping process per step, so a replay that
+    ///   fingerprints every step renders one automaton per step);
+    /// * in the trace, a running hash of the op events, advanced from a
+    ///   cursor over the append-only event log, and the digest of the
+    ///   emulated history, invalidated by each emulated-output update;
+    /// * per envelope, the `(from, payload)` hash, taken once per send;
+    /// * the link-fault and adversary plans, hashed once at install.
+    ///
+    /// Caches are filled on the first call, not before: a run that never
+    /// fingerprints allocates nothing for them. They are pure functions
+    /// of the state they summarize and travel with it through `clone`,
+    /// `clone_from` and [`Simulation::reset`], so the value depends only
+    /// on the state, never on the call history. Replacing a section's
+    /// byte stream by its digest changes the hash values but not which
+    /// states share a value (up to 64-bit collisions).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint_impl(false)
     }
@@ -844,10 +880,11 @@ impl<A: Automaton + fmt::Debug> Simulation<A> {
                 }
             }
         }
-        for (i, a) in self.procs.iter().enumerate() {
-            h.write_u8(b'P');
-            h.write_usize(i);
-            h.write_debug(a);
+        h.write_u8(b'P');
+        let mut digests = self.proc_fps.borrow_mut();
+        digests.resize(self.procs.len(), None);
+        for (a, d) in self.procs.iter().zip(digests.iter_mut()) {
+            h.write_u64(*d.get_or_insert_with(|| debug_digest(a)));
         }
         h.write_u8(b'N');
         if ordered {
@@ -917,5 +954,190 @@ impl<A: Automaton> SimPool<A> {
     /// one-shot wrappers that must return an owned [`Trace`]).
     pub fn take_trace(&mut self) -> Option<Trace> {
         self.slot.take().map(Simulation::into_trace)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheduler::FairScheduler;
+    use crate::trace::Event;
+    use sih_model::{MutationKind, NoDetector, OpId, OpKind, Value};
+
+    /// A payload the mutation adversary can perturb.
+    #[derive(Clone, Copy, Debug)]
+    struct Note(u64);
+
+    impl Corruptible for Note {
+        fn corrupt(&self, _kind: MutationKind, x: u64) -> Option<Note> {
+            Some(Note(self.0 ^ x))
+        }
+    }
+
+    /// Touches every fingerprinted section: its own state, unicasts and
+    /// fan-outs, op events, emulated outputs and one decision.
+    #[derive(Clone, Debug)]
+    struct Chatter {
+        steps: u64,
+        heard: u64,
+    }
+
+    impl Automaton for Chatter {
+        type Msg = Note;
+
+        fn step(&mut self, input: StepInput<Note>, eff: &mut Effects<Note>) {
+            self.steps += 1;
+            if let Some(env) = input.delivered {
+                self.heard = self.heard.wrapping_mul(31).wrapping_add(env.payload.0);
+            }
+            let op = OpId(u64::from(input.me.0) * 1_000 + self.steps / 4);
+            match self.steps % 4 {
+                0 => eff.send_others(input.n, input.me, Note(self.steps)),
+                1 => eff.send(ProcessId((input.me.0 + 1) % input.n as u32), Note(self.heard)),
+                2 => eff.op_invoke(op, OpKind::Read),
+                _ => {
+                    eff.op_return(op, OpKind::Read, Some(Value(self.heard % 3)));
+                    eff.set_output(FdOutput::Leader(ProcessId((self.heard % 3) as u32)));
+                }
+            }
+            if self.steps == 5 {
+                eff.decide(Value(self.heard % 7));
+            }
+        }
+    }
+
+    const N: usize = 3;
+
+    fn chatters() -> Vec<Chatter> {
+        (0..N).map(|_| Chatter { steps: 0, heard: 0 }).collect()
+    }
+
+    /// A run with a link-fault plan and a mutation adversary installed.
+    fn faulty_system() -> Simulation<Chatter> {
+        let (p0, p1, p2) = (ProcessId(0), ProcessId(1), ProcessId(2));
+        Simulation::new(chatters(), FailurePattern::all_correct(N))
+            .with_link_faults(
+                LinkFaultPlan::builder(N)
+                    .drop_every(p0, p1, 3, 1, Time(0), Some(Time(60)))
+                    .duplicate_every(p2, p0, 2, 0, Time(10), None)
+                    .build(),
+            )
+            .with_adversary(
+                AdversaryPlan::builder(N)
+                    .perturb(p1, p2, 7, Time(0), Some(Time(40)))
+                    .replay(p2, p1, Time(5), None)
+                    .build(),
+                Armor::NONE,
+            )
+    }
+
+    impl<A: Automaton + Clone + fmt::Debug> Simulation<A> {
+        /// Both fingerprint flavors recomputed from a copy whose caches
+        /// were emptied: what an uncached fingerprint of this state is.
+        fn cold_fingerprints(&self) -> (u64, u64) {
+            let cold = self.clone();
+            cold.proc_fps.borrow_mut().clear();
+            cold.trace.forget_fingerprint_caches();
+            (cold.fingerprint(), cold.fingerprint_ordered())
+        }
+
+        fn assert_coherent(&self, context: &str) {
+            let warm = (self.fingerprint(), self.fingerprint_ordered());
+            assert_eq!(warm, self.cold_fingerprints(), "{context} at t={}", self.now.0);
+        }
+
+        /// One fair-scheduler step; false once the run stopped.
+        fn step_fair(&mut self, sched: &mut FairScheduler) -> bool {
+            self.run(sched, &NoDetector, 1).steps == 1
+        }
+    }
+
+    #[test]
+    fn cached_fingerprints_match_a_cold_recompute_after_every_step() {
+        for stride in [1, 3] {
+            let mut sim = faulty_system();
+            let mut sched = FairScheduler::new(11);
+            let mut steps = 0;
+            while steps < 150 && sim.step_fair(&mut sched) {
+                steps += 1;
+                // stride 3 lets several steps pile up between fingerprints.
+                if steps % stride == 0 {
+                    sim.assert_coherent("step");
+                }
+            }
+            assert!(steps > 100, "run stopped after {steps} steps");
+            assert!(sim.trace().decided_count() > 0 && !sim.trace().op_records().is_empty());
+            assert!(sim.network().mutated_count() + sim.network().dropped_count() > 0);
+        }
+    }
+
+    #[test]
+    fn clones_and_recycled_sims_keep_coherent_caches() {
+        let mut sim = faulty_system();
+        let mut sched = FairScheduler::new(5);
+        for _ in 0..40 {
+            sim.step_fair(&mut sched);
+            sim.fingerprint();
+        }
+        // A clone inherits the warm caches and then evolves on its own.
+        let mut twin = sim.clone();
+        twin.assert_coherent("clone");
+        // `clone_from` into a sim that fingerprinted a different run.
+        let mut recycled = faulty_system();
+        let mut other = FairScheduler::new(99);
+        for _ in 0..60 {
+            recycled.step_fair(&mut other);
+            recycled.fingerprint();
+        }
+        recycled.clone_from(&sim);
+        recycled.assert_coherent("clone_from");
+        assert_eq!(recycled.fingerprint(), sim.fingerprint());
+        let (mut s1, mut s2, mut s3) = (sched.clone(), sched.clone(), sched);
+        for _ in 0..40 {
+            sim.step_fair(&mut s1);
+            twin.step_fair(&mut s2);
+            recycled.step_fair(&mut s3);
+            sim.assert_coherent("original");
+            twin.assert_coherent("clone");
+            recycled.assert_coherent("clone_from");
+            assert_eq!(twin.fingerprint(), sim.fingerprint());
+            assert_eq!(recycled.fingerprint(), sim.fingerprint());
+        }
+    }
+
+    #[test]
+    fn pooled_resets_start_from_cold_caches() {
+        for level in [TraceLevel::Full, TraceLevel::Light] {
+            let mut pool = SimPool::with_trace_level(level);
+            let pattern = FailurePattern::all_correct(N);
+            for seed in 0..3 {
+                let sim = pool.acquire(chatters(), &pattern);
+                let fresh = Simulation::new(chatters(), pattern.clone());
+                assert_eq!(sim.fingerprint(), fresh.fingerprint(), "reset, seed {seed}");
+                let mut sched = FairScheduler::new(seed);
+                for _ in 0..(30 + 20 * seed) {
+                    sim.step_fair(&mut sched);
+                    sim.assert_coherent("pooled");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprints_ignore_the_trace_level() {
+        let mut full = faulty_system();
+        let mut light = faulty_system().with_trace_level(TraceLevel::Light);
+        let (mut a, mut b) = (FairScheduler::new(3), FairScheduler::new(3));
+        for _ in 0..80 {
+            full.step_fair(&mut a);
+            light.step_fair(&mut b);
+            assert_eq!(full.fingerprint(), light.fingerprint());
+        }
+        assert!(light.trace().events().len() < full.trace().events().len());
+        assert!(light
+            .trace()
+            .events()
+            .iter()
+            .any(|e| matches!(e, Event::OpInvoke { .. } | Event::OpReturn { .. })));
     }
 }

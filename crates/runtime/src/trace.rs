@@ -9,10 +9,11 @@
 // sih-analysis: allow(index-reachable) — per-process trace lanes are n-sized at construction
 // and indexed by the stepping process's own id.
 use crate::automaton::{MsgId, OpEvent};
-use crate::fingerprint::Fnv64;
+use crate::fingerprint::{debug_digest, Fnv64};
 use sih_model::{
     FdOutput, OpId, OpKind, OpRecord, ProcessId, ProcessSet, RecordedHistory, Time, Value,
 };
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// One observable event of a run.
@@ -114,6 +115,13 @@ pub struct Trace {
     sent: u64,
     decided_count: usize,
     last_step_time: Time,
+    // Fingerprint caches, filled by `fingerprint_into` only. `op_fp` is a
+    // running FNV-1a over the `Debug` rendering of the op events in
+    // `events[..cursor]`: events are append-only, so each is hashed once
+    // however often the trace is fingerprinted. `emulated_fp` memoizes
+    // the hash of `Debug(emulated)` until the next `push_emulate`.
+    op_fp: Cell<(usize, Fnv64)>,
+    emulated_fp: Cell<Option<u64>>,
 }
 
 // Manual Clone so `clone_from` reuses the event log, decision table and
@@ -131,6 +139,8 @@ impl Clone for Trace {
             sent: self.sent,
             decided_count: self.decided_count,
             last_step_time: self.last_step_time,
+            op_fp: self.op_fp.clone(),
+            emulated_fp: self.emulated_fp.clone(),
         }
     }
 
@@ -144,6 +154,8 @@ impl Clone for Trace {
         self.sent = source.sent;
         self.decided_count = source.decided_count;
         self.last_step_time = source.last_step_time;
+        self.op_fp.set(source.op_fp.get());
+        self.emulated_fp.set(source.emulated_fp.get());
     }
 }
 
@@ -163,6 +175,8 @@ impl Trace {
             sent: 0,
             decided_count: 0,
             last_step_time: Time::ZERO,
+            op_fp: Cell::new((0, Fnv64::new())),
+            emulated_fp: Cell::new(None),
         }
     }
 
@@ -194,6 +208,8 @@ impl Trace {
         self.sent = 0;
         self.decided_count = 0;
         self.last_step_time = Time::ZERO;
+        *self.op_fp.get_mut() = (0, Fnv64::new());
+        *self.emulated_fp.get_mut() = None;
     }
 
     pub(crate) fn push_step(
@@ -258,6 +274,7 @@ impl Trace {
 
     pub(crate) fn push_emulate(&mut self, t: Time, p: ProcessId, out: FdOutput) {
         self.emulated.record(p, t, out);
+        *self.emulated_fp.get_mut() = None;
         self.events.push(Event::Emulate { t, p, out });
     }
 
@@ -399,6 +416,11 @@ impl Trace {
     /// that no property checker may read, and hashing them would make
     /// every interleaving unique, defeating dedup. The same fingerprint
     /// therefore results at [`TraceLevel::Full`] and [`TraceLevel::Light`].
+    ///
+    /// The emulated history and the op-event sequence enter as 64-bit
+    /// digests of their `Debug` renderings, cached between calls (see
+    /// the `op_fp`/`emulated_fp` fields): a call hashes only the op
+    /// events appended since the previous one, not the whole event log.
     pub(crate) fn fingerprint_into(&self, h: &mut Fnv64) {
         // Structurally simple fields hash as raw integers (an order of
         // magnitude cheaper than streaming their Debug rendering).
@@ -412,16 +434,34 @@ impl Trace {
                 }
             }
         }
-        h.write_debug(&self.emulated);
-        for ev in &self.events {
+        let emulated = self.emulated_fp.get().unwrap_or_else(|| {
+            let fp = debug_digest(&self.emulated);
+            self.emulated_fp.set(Some(fp));
+            fp
+        });
+        h.write_u64(emulated);
+        let (cursor, mut ops) = self.op_fp.get();
+        for ev in &self.events[cursor..] {
             if matches!(ev, Event::OpInvoke { .. } | Event::OpReturn { .. }) {
-                h.write_debug(ev);
+                ops.write_debug(ev);
             }
         }
+        self.op_fp.set((self.events.len(), ops));
+        h.write_u64(ops.finish());
         for s in &self.steps_taken {
             h.write_u64(*s);
         }
         h.write_u64(self.sent);
+    }
+}
+
+impl Trace {
+    /// Empties the fingerprint caches, so the next fingerprint is a cold
+    /// recompute (the cache-coherence tests compare against it).
+    #[cfg(test)]
+    pub(crate) fn forget_fingerprint_caches(&self) {
+        self.op_fp.set((0, Fnv64::new()));
+        self.emulated_fp.set(None);
     }
 }
 
